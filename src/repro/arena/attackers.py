@@ -39,9 +39,9 @@ from repro.attack.adaptive import (
 )
 from repro.attack.countermeasures import OracleLockoutError
 from repro.attack.hdlock_attack import (
-    DifferenceObservation,
     as_attack_surface,
     observe_difference,
+    rotation_correlation,
 )
 from repro.attack.pipeline import run_reasoning_attack
 from repro.attack.protocol import AttackBudget, AttackOutcome, FeatureGuess
@@ -156,18 +156,17 @@ class AdaptiveExtractor:
             except AttackError:
                 guesses.append(FeatureGuess(feature, None, CHANCE_SCORE))
                 continue
-            best_score = np.inf
-            best: SubKey | None = None
-            for index in range(surface.pool_size):
-                scores = score_rotations(surface, observation, index)
-                candidates += dim
-                rotation = int(np.argmin(scores))
-                if scores[rotation] < best_score:
-                    best_score = float(scores[rotation])
-                    best = SubKey((index,), (rotation,))
-                if best_score <= self.accept_threshold:
-                    break
-            if best is not None and best_score <= self.accept_threshold:
+            scores = score_rotations(surface, observation)
+            # The early exit stops after the first index whose best
+            # rotation clears the threshold; only indices up to it count
+            # as scored, and the guess is the best among them.
+            cleared = np.flatnonzero(scores.min(axis=1) <= self.accept_threshold)
+            visited = int(cleared[0]) + 1 if cleared.size else surface.pool_size
+            candidates += visited * dim
+            index, rotation = divmod(int(np.argmin(scores[:visited])), dim)
+            best_score = float(scores[index, rotation])
+            if best_score <= self.accept_threshold:
+                best = SubKey((index,), (rotation,))
                 guesses.append(FeatureGuess(feature, best, best_score))
             else:
                 guesses.append(FeatureGuess(feature, None, best_score))
@@ -264,37 +263,27 @@ class DifferentialProber:
         same lower-is-better scale as every other arena criterion.
         """
         dim = surface.dim
+        weight_mass = float(np.abs(votes).sum())
+        total = dim * surface.pool_size
+        if total <= cap:
+            correlations = rotation_correlation(surface.base_pool, votes) / weight_mass
+            scores = (1.0 - correlations) / 2.0
+            index, rotation = divmod(int(np.argmin(scores)), dim)
+            return SubKey((index,), (rotation,)), float(scores[index, rotation]), total
         pool = surface.base_pool.astype(np.int64)
         support = np.flatnonzero(votes)
         weights = votes[support].astype(np.float64)
-        weight_mass = float(np.abs(weights).sum())
-        total = dim * surface.pool_size
         best_score = np.inf
         best_pair = (0, 0)
-        scored = 0
-        if total <= cap:
-            rots = np.arange(dim)
-            gather = (support[None, :] + rots[:, None]) % dim
-            for index in range(surface.pool_size):
-                predicted = pool[index][gather]
-                correlations = (predicted @ weights) / weight_mass
-                scores = (1.0 - correlations) / 2.0
-                scored += dim
-                rotation = int(np.argmin(scores))
-                if scores[rotation] < best_score:
-                    best_score = float(scores[rotation])
-                    best_pair = (index, rotation)
-        else:
-            indices = rng.integers(0, surface.pool_size, size=cap)
-            rotations = rng.integers(0, dim, size=cap)
-            for index, rotation in zip(indices.tolist(), rotations.tolist()):
-                row = pool[index][(support + rotation) % dim]
-                score = (1.0 - float(row @ weights) / weight_mass) / 2.0
-                scored += 1
-                if score < best_score:
-                    best_score = float(score)
-                    best_pair = (index, rotation)
-        return SubKey((best_pair[0],), (best_pair[1],)), best_score, scored
+        indices = rng.integers(0, surface.pool_size, size=cap)
+        rotations = rng.integers(0, dim, size=cap)
+        for index, rotation in zip(indices.tolist(), rotations.tolist()):
+            row = pool[index][(support + rotation) % dim]
+            score = (1.0 - float(row @ weights) / weight_mass) / 2.0
+            if score < best_score:
+                best_score = float(score)
+                best_pair = (index, rotation)
+        return SubKey((best_pair[0],), (best_pair[1],)), best_score, cap
 
     def run(
         self,

@@ -5,7 +5,8 @@ one-layer key offers ``D * P`` states per feature — "only" ``6.15e9``
 guesses total for MNIST. That is expensive but not cryptographic, and at
 moderate ``D * P`` it is outright practical. This module implements the
 full ``L = 1`` key-recovery attack by exhaustive sweep over (base index,
-rotation) pairs, vectorized so a reduced-scale key falls in seconds.
+rotation) pairs: one FFT cross-correlation per feature scores all
+``D * P`` guesses exactly, so a reduced-scale key falls in seconds.
 
 Two roles in the reproduction:
 
@@ -23,9 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.attack.hdlock_attack import DifferenceObservation, observe_difference
+from repro.attack.hdlock_attack import (
+    DifferenceObservation,
+    observe_difference,
+    rotation_correlation,
+)
 from repro.attack.threat_model import LockedSurface
-from repro.errors import AttackError, ConfigurationError
+from repro.errors import AttackError, ConfigurationError, NotBipolarError
+from repro.hv.similarity import is_bipolar
 from repro.memory.key import LockKey, SubKey
 from repro.utils.timer import Timer
 
@@ -52,41 +58,62 @@ class SingleLayerAttackResult:
 def score_rotations(
     surface: LockedSurface,
     observation: DifferenceObservation,
-    index: int,
+    *,
     rotations: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Score single-layer guesses ``(index, r)`` for every rotation ``r``.
+    """Score every single-layer guess ``(index, r)`` against one observation.
 
-    One ``(R, |I|)`` gather scores all requested rotations of base row
-    ``index`` on the observation support at once. Scores are uniformly
-    *lower is better*: normalized Hamming distance on binary surfaces,
-    ``1 - cosine`` on non-binary ones — so arena strategies compare and
-    threshold them without branching on the oracle flavor.
+    Returns the ``(P, R)`` score matrix: row ``index`` is base-pool row
+    ``index``, column ``j`` is rotation ``rotations[j]`` (all ``D``
+    rotations by default). Scores are uniformly *lower is better*:
+    normalized Hamming distance on binary surfaces, ``1 - cosine`` on
+    non-binary ones — so arena strategies compare and threshold them
+    without branching on the oracle flavor.
+
+    A guess predicts ``v_delta * rho^r(B_index)`` on the support ``I``.
+    With a bipolar pool every prediction is one
+    :func:`~repro.attack.hdlock_attack.rotation_correlation` entry away:
+
+    * binary: ``sign(prediction) = sign(v_delta) * rho^r(B_index)`` and
+      the target is ±1, so mismatches are ``(|I| - corr) / 2`` with
+      weights ``sign(v_delta) * target`` on ``I``;
+    * non-binary: the dot product with the target is ``corr`` with
+      weights ``v_delta * target``, and every prediction has the norm
+      ``||v_delta||``.
+
+    Those preconditions (bipolar pool, ``v_delta != 0`` on ``I``, a ±1
+    binary target) hold for every :func:`observe_difference` result and
+    are checked rather than assumed.
     """
+    pool = surface.base_pool
+    if not is_bipolar(pool):
+        raise NotBipolarError("rotation scoring needs a bipolar base pool")
     support = observation.support
-    dim = surface.dim
-    rots = np.arange(dim) if rotations is None else np.asarray(rotations)
+    target = observation.target
     v_delta = (
         surface.value_matrix[0].astype(np.int64)
         - surface.value_matrix[-1].astype(np.int64)
     )[support]
-    gather = (support[None, :] + rots[:, None]) % dim
-    candidates = surface.base_pool[index][gather].astype(np.int64)
-    predicted = v_delta[None, :] * candidates
-    if surface.binary:
-        return (
-            np.count_nonzero(
-                np.sign(predicted) != observation.target[None, :], axis=1
-            )
-            / support.size
+    if not v_delta.all():
+        raise AttackError(
+            "observation support leaves the value support (ValHV_1 == ValHV_M)"
         )
-    target_vec = observation.target.astype(np.float64)
-    target_norm = float(np.linalg.norm(target_vec))
-    if target_norm == 0.0:
-        raise AttackError("difference observation carries no signal")
-    norms = np.linalg.norm(predicted.astype(np.float64), axis=1)
-    cosines = (predicted @ target_vec) / (norms * target_norm)
-    return 1.0 - cosines
+    weights = np.zeros(surface.dim, dtype=np.int64)
+    if surface.binary:
+        if not (np.abs(target) == 1).all():
+            raise AttackError("binary difference target must be +-1")
+        weights[support] = np.sign(v_delta) * target
+        corr = rotation_correlation(pool, weights).astype(np.int64)
+        scores = (support.size - corr) // 2 / support.size
+    else:
+        target_norm = float(np.linalg.norm(target.astype(np.float64)))
+        if target_norm == 0.0:
+            raise AttackError("difference observation carries no signal")
+        weights[support] = v_delta * target
+        prediction_norm = float(np.linalg.norm(v_delta.astype(np.float64)))
+        cosines = rotation_correlation(pool, weights) / (prediction_norm * target_norm)
+        scores = 1.0 - cosines
+    return scores if rotations is None else scores[:, rotations]
 
 
 def best_single_layer_guess(
@@ -97,45 +124,31 @@ def best_single_layer_guess(
 ) -> tuple[SubKey, float, int]:
     """Sweep all (index, rotation) pairs for one feature's subkey.
 
-    Scores every pair on the difference support; returns the best guess,
-    its (lower-is-better) score, and the number of guesses evaluated.
-    Vectorized over rotations via :func:`score_rotations`. Callers that
-    already hold the feature's observation pass it to avoid spending two
-    more oracle queries; ``max_candidates`` caps the total evaluations by
-    evenly striding the rotation space (a budgeted sweep may then miss
-    the true rotation — the caller's accept threshold decides).
+    Scores every pair on the difference support in one
+    :func:`score_rotations` pass; returns the best guess (ties go to the
+    first index, then the first rotation), its (lower-is-better) score,
+    and the number of guesses evaluated. Callers that already hold the
+    feature's observation pass it to avoid spending two more oracle
+    queries; ``max_candidates`` caps the total evaluations by evenly
+    striding the rotation space (a budgeted sweep may then miss the true
+    rotation — the caller's accept threshold decides).
     """
     if observation is None:
         observation = observe_difference(surface, feature)
     dim = surface.dim
     rotations = None
-    per_index = dim
     if max_candidates is not None and max_candidates < dim * surface.pool_size:
         per_index = max(1, max_candidates // surface.pool_size)
         stride = dim / per_index
-        rotations = np.unique(
-            (np.arange(per_index) * stride).astype(np.int64)
-        )
-        per_index = int(rotations.size)
-
-    best_score = np.inf
-    best_pair = (0, 0)
-    guesses = 0
-    for index in range(surface.pool_size):
-        scores = score_rotations(surface, observation, index, rotations)
-        guesses += per_index
-        local_best = int(np.argmin(scores))
-        if scores[local_best] < best_score:
-            best_score = float(scores[local_best])
-            rotation = (
-                local_best if rotations is None else int(rotations[local_best])
-            )
-            best_pair = (index, rotation)
-    return SubKey((best_pair[0],), (best_pair[1],)), best_score, guesses
-
-
-#: Backwards-compatible alias of the pre-arena private name.
-_best_single_layer_guess = best_single_layer_guess
+        rotations = np.unique((np.arange(per_index) * stride).astype(np.int64))
+    scores = score_rotations(surface, observation, rotations=rotations)
+    index, column = divmod(int(np.argmin(scores)), scores.shape[1])
+    rotation = column if rotations is None else int(rotations[column])
+    return (
+        SubKey((index,), (rotation,)),
+        float(scores[index, column]),
+        int(scores.size),
+    )
 
 
 def attack_single_layer(surface: LockedSurface) -> SingleLayerAttackResult:

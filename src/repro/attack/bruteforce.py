@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.attack.feature_extraction import CandidateTable, _crafted_input
+from repro.attack.feature_extraction import CandidateTable, crafted_responses
 from repro.attack.threat_model import AttackSurface
 from repro.errors import ConfigurationError
 
@@ -37,8 +37,9 @@ def score_matrix(surface: AttackSurface, level_order: np.ndarray) -> np.ndarray:
     """``(N, N)`` matrix: score of candidate ``j`` for feature ``i``.
 
     Row ``i`` uses the same crafted query as the divide-and-conquer
-    attack; lower is better in both model flavors (the table returns
-    ``1 - cosine`` for non-binary surfaces).
+    attack, sent in the same blocks (:func:`crafted_responses`); lower
+    is better in both model flavors (the table returns ``1 - cosine``
+    for non-binary surfaces).
     """
     order = np.asarray(level_order)
     table = CandidateTable(
@@ -47,15 +48,13 @@ def score_matrix(surface: AttackSurface, level_order: np.ndarray) -> np.ndarray:
         surface.value_pool[order[-1]],
         binary=surface.binary,
     )
-    n = surface.n_features
-    all_candidates = np.arange(n)
-    rows = []
-    for feature in range(n):
-        observed = surface.oracle.query(
-            _crafted_input(n, feature, surface.levels)
-        )
-        rows.append(table.score(np.asarray(observed), all_candidates))
-    return np.stack(rows)
+    all_candidates = np.arange(surface.n_features)
+    return np.concatenate(
+        [
+            table.score(responses, all_candidates)
+            for responses in crafted_responses(surface)
+        ]
+    )
 
 
 def exhaustive_mapping_attack(

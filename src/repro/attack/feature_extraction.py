@@ -21,23 +21,28 @@ Two structural facts make the sweep cheap:
   off that support ``I`` — only ``|I|`` coordinates ever need scoring;
 * the candidate predictions on ``I`` do not depend on which feature is
   being attacked, so the whole ``(N, |I|)`` prediction table is built
-  once, bit-packed, and every per-feature scoring pass is a single
-  XOR-popcount against the observed response.
+  once, and a block of crafted responses scores against it as one
+  matrix pass: tiled XOR-popcount over the bit-packed table for binary
+  models, one GEMM against the contribution table for non-binary ones.
 
-Divide and conquer: each matched candidate leaves the pool, giving the
-paper's ``O(N^2)`` guess count (``N + (N-1) + ...``, reported as
-``N * N`` worst case) with one oracle query per feature.
+The ``N`` crafted inputs go to the oracle in blocks of
+:data:`QUERY_BLOCK_ROWS`, in feature order, so the query count and the
+oracle's tie-break stream match one query per feature. Divide and
+conquer then runs over the score rows: each matched candidate leaves the
+pool, giving the paper's ``O(N^2)`` guess count (``N + (N-1) + ...``,
+reported as ``N * N`` worst case).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.attack.threat_model import AttackSurface
 from repro.errors import AttackError
-from repro.hv.packing import hamming_packed, pack_words
+from repro.hv.packing import pack_words, pairwise_hamming_packed
 from repro.utils.rng import SeedLike
 
 
@@ -57,11 +62,41 @@ class FeatureExtractionResult:
     queries: int
 
 
+#: Crafted inputs sent per oracle batch. The block bounds the working set
+#: (the oracle's ``(B, D)`` accumulations plus the ``(B, N)`` score rows)
+#: so peak memory stays flat in ``N``: one batch of all ``N`` inputs raised
+#: Table 1's peak RSS from 134 to 157 MB (D = 2048, 2-core x86 host) and
+#: ran no faster.
+QUERY_BLOCK_ROWS = 128
+
+#: Responses per packed XOR tile in binary scoring: keeps the
+#: ``(tile, N, W)`` XOR intermediate near 4 MB for the widest Table 1
+#: model (N = 960, |I| ~ 1024 support bits).
+_HAMMING_TILE_ROWS = 32
+
+
 def _crafted_input(n_features: int, feature: int, levels: int) -> np.ndarray:
     """The Eq. 7 adversarial input: feature ``feature`` at max level."""
     sample = np.zeros(n_features, dtype=np.int64)
     sample[feature] = levels - 1
     return sample
+
+
+def crafted_responses(surface: AttackSurface) -> Iterator[np.ndarray]:
+    """Oracle responses to the ``N`` Eq. 7 inputs, in feature order.
+
+    Yields one ``(B, D)`` block per :data:`QUERY_BLOCK_ROWS` features.
+    Each block is one ``query_batch`` call, which encodes its rows in
+    order, so outputs equal one ``query`` per feature. A guarded oracle
+    refuses a block as a whole when any of its rows trips the monitor;
+    the lockout propagates and ``n_queries`` counts served blocks only.
+    """
+    n = surface.n_features
+    for start in range(0, n, QUERY_BLOCK_ROWS):
+        features = np.arange(start, min(start + QUERY_BLOCK_ROWS, n))
+        samples = np.zeros((features.size, n), dtype=np.int64)
+        samples[np.arange(features.size), features] = surface.levels - 1
+        yield surface.oracle.query_batch(samples)
 
 
 class CandidateTable:
@@ -102,7 +137,7 @@ class CandidateTable:
                 self.total_on_support[None, :] + contributions >= 0, 1, -1
             ).astype(np.int8)
             # Word-packed (uint64) prediction table, built once; every
-            # per-feature scoring pass stays in the packed domain.
+            # scoring pass stays in the packed domain.
             self._packed_predictions = pack_words(predictions)
             self._off_support_signs = np.where(
                 self._total[self.off_support] >= 0, 1, -1
@@ -117,11 +152,15 @@ class CandidateTable:
         available: np.ndarray,
         full_dim: bool = False,
     ) -> np.ndarray:
-        """Score every available candidate against one oracle response.
+        """Score every available candidate against oracle responses.
 
-        Returns an array aligned with ``available``; lower is always
-        better (normalized Hamming distance for binary surfaces,
-        ``1 - cosine`` for non-binary ones).
+        ``observed`` is one ``(D,)`` response or a ``(B, D)`` stack; the
+        result is aligned with ``available`` — ``(len(available),)`` or
+        ``(B, len(available))``, row ``b`` scoring response ``b``. Lower
+        is always better (normalized Hamming distance for binary
+        surfaces, ``1 - cosine`` for non-binary ones). Every score is an
+        exact function of integer counts, so a row of a stacked call is
+        bit-identical to scoring that response alone.
 
         By default binary scores are normalized over the support ``I``
         only — all candidates agree off it, so this changes no decision
@@ -130,36 +169,32 @@ class CandidateTable:
         candidate-independent sign ties and are added back in), which is
         the exact quantity paper Fig. 3 plots.
         """
+        rows = np.atleast_2d(observed)
         if self.binary:
-            observed_packed = pack_words(observed[self.support])
-            support_distance = np.asarray(
-                hamming_packed(
-                    self._packed_predictions[available],
-                    observed_packed,
-                    self.support.size,
-                )
+            scores = pairwise_hamming_packed(
+                pack_words(rows[:, self.support]),
+                self._packed_predictions[available],
+                self.support.size,
+                chunk_size=_HAMMING_TILE_ROWS,
             )
-            if not full_dim:
-                return support_distance
-            off_mismatches = int(
-                np.count_nonzero(
-                    observed[self.off_support] != self._off_support_signs
+            if full_dim:
+                off_mismatches = np.count_nonzero(
+                    rows[:, self.off_support] != self._off_support_signs, axis=1
                 )
-            )
-            support_mismatches = support_distance * self.support.size
-            return (support_mismatches + off_mismatches) / self.dim
-        # Non-binary: the residual is exactly zero off the support, so
-        # support-restricted and full-dimension cosines coincide.
-        residual = (
-            observed[self.support].astype(np.float64) - self.total_on_support
-        )
-        residual_norm = float(np.linalg.norm(residual))
-        if residual_norm == 0.0:
-            raise AttackError("observed response carries no feature signal")
-        cosines = (self._contributions[available] @ residual) / (
-            self._norms[available] * residual_norm
-        )
-        return 1.0 - cosines
+                support_mismatches = scores * self.support.size
+                scores = (support_mismatches + off_mismatches[:, None]) / self.dim
+        else:
+            # The residual is exactly zero off the support, so
+            # support-restricted and full-dimension cosines coincide.
+            # Dots and squared norms are integers, exact in float64
+            # whatever the summation order of the GEMM.
+            residuals = rows[:, self.support].astype(np.float64) - self.total_on_support
+            residual_norms = np.linalg.norm(residuals, axis=1)
+            if not residual_norms.all():
+                raise AttackError("observed response carries no feature signal")
+            dots = residuals @ self._contributions[available].T
+            scores = 1.0 - dots / (self._norms[available] * residual_norms[:, None])
+        return scores[0] if np.ndim(observed) == 1 else scores
 
 
 def extract_feature_mapping(
@@ -170,7 +205,18 @@ def extract_feature_mapping(
     """Run the divide-and-conquer sweep for every feature index.
 
     ``level_order`` is the value mapping recovered by
-    :func:`repro.attack.value_extraction.extract_value_mapping`.
+    :func:`repro.attack.value_extraction.extract_value_mapping`. The
+    crafted inputs go out in blocks (:func:`crafted_responses`); each
+    block is scored against the candidates still available when it
+    arrives, and the greedy elimination then walks its score rows in
+    feature order. Assignment, margins, guess and query counts equal a
+    one-query-per-feature sweep.
+
+    Against a :class:`~repro.attack.countermeasures.GuardedOracle` that
+    locks out partway, the block holding the tripping query is refused
+    as a whole: :class:`~repro.attack.countermeasures.OracleLockoutError`
+    propagates, and ``oracle.n_queries`` counts only the blocks served
+    before it.
     """
     del rng  # reserved for future randomized scoring variants
     n = surface.n_features
@@ -186,20 +232,24 @@ def extract_feature_mapping(
     margins = np.zeros(n, dtype=np.float64)
     available = np.arange(n)
     guesses = 0
-    for feature in range(n):
-        observed = surface.oracle.query(
-            _crafted_input(n, feature, surface.levels)
-        )
-        scores = table.score(np.asarray(observed), available)
-        guesses += int(available.size)
-        best_pos = int(np.argmin(scores))
-        assignment[feature] = available[best_pos]
-        if available.size > 1:
-            runner_up = float(np.partition(scores, 1)[1])
-            margins[feature] = runner_up - float(scores[best_pos])
-        else:
-            margins[feature] = float("inf")
-        available = np.delete(available, best_pos)
+    feature = 0
+    for responses in crafted_responses(surface):
+        block_scores = table.score(responses, available)
+        alive = np.ones(available.size, dtype=bool)
+        for row in block_scores:
+            positions = np.flatnonzero(alive)
+            scores = row[positions]
+            guesses += int(positions.size)
+            best_pos = int(np.argmin(scores))
+            assignment[feature] = available[positions[best_pos]]
+            if positions.size > 1:
+                runner_up = float(np.partition(scores, 1)[1])
+                margins[feature] = runner_up - float(scores[best_pos])
+            else:
+                margins[feature] = float("inf")
+            alive[positions[best_pos]] = False
+            feature += 1
+        available = available[alive]
     return FeatureExtractionResult(
         assignment=assignment,
         margins=margins,
