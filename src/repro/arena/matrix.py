@@ -22,7 +22,7 @@ from repro.arena.defenders import DeployedDefense
 from repro.attack.countermeasures import OracleLockoutError
 from repro.attack.protocol import AttackBudget, AttackOutcome, Attacker
 from repro.errors import AttackError
-from repro.memory.key import SubKey
+from repro.hdlock.feature_factory import derive_feature_hv
 
 __all__ = [
     "RECOVERY_THRESHOLD",
@@ -61,15 +61,6 @@ class CellEvaluation:
         return self.features_recovered / self.features_attacked
 
 
-def _derived_row(pool: np.ndarray, subkey: SubKey) -> np.ndarray:
-    """Eq. 9: the feature hypervector a guessed subkey derives to."""
-    dim = pool.shape[1]
-    row = np.ones(dim, dtype=np.int64)
-    for index, rotation in subkey.pairs():
-        row *= pool[index][(np.arange(dim) + rotation) % dim]
-    return row
-
-
 def evaluate_outcome(
     truth_matrix: np.ndarray,
     pool: np.ndarray,
@@ -99,9 +90,8 @@ def evaluate_outcome(
         if subkey is None:
             total_distance += CHANCE_DISTANCE
             continue
-        derived = _derived_row(pool, subkey)
-        truth = truth_matrix[feature].astype(np.int64)
-        distance = np.count_nonzero(derived != truth) / dim
+        derived = derive_feature_hv(pool, subkey)
+        distance = np.count_nonzero(derived != truth_matrix[feature]) / dim
         total_distance += distance
         if distance < RECOVERY_THRESHOLD:
             recovered += 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DimensionMismatchError, KeyFormatError
-from repro.hv.ops import BIPOLAR_DTYPE, bind_many, permute, permute_rows
+from repro.hv.ops import BIPOLAR_DTYPE, bind_many, permute, rotation_windows
 from repro.memory.key import LockKey, SubKey
 
 
@@ -36,10 +36,13 @@ def derive_feature_hv(pool: np.ndarray, subkey: SubKey) -> np.ndarray:
 def derive_feature_matrix(pool: np.ndarray, key: LockKey) -> np.ndarray:
     """Derive all ``N`` locked feature hypervectors at once.
 
-    Vectorized layer by layer: gather the selected base rows, rotate each
-    row by its own amount, and multiply the ``L`` layer matrices
-    element-wise. Returns an ``(N, D)`` bipolar matrix laid out exactly
-    like a plain :class:`~repro.memory.item_memory.FeatureMemory`.
+    The pool is doubled once (:func:`~repro.hv.ops.rotation_windows`);
+    layer ``l`` is then one fancy index of its windows at
+    ``(indices[:, l], rotations[:, l])`` — every selected base row
+    already rotated, one contiguous copy per feature — multiplied into
+    the running product in place. Returns an ``(N, D)`` bipolar matrix
+    laid out exactly like a plain
+    :class:`~repro.memory.item_memory.FeatureMemory`.
     """
     mat = np.asarray(pool)
     if mat.ndim != 2:
@@ -48,9 +51,10 @@ def derive_feature_matrix(pool: np.ndarray, key: LockKey) -> np.ndarray:
         raise KeyFormatError(
             f"key expects pool >= {key.pool_size} x {key.dim}, got {mat.shape}"
         )
+    # Key validation bounds every rotation to [0, D), a valid window.
     indices, rotations = key.to_arrays()
-    product = np.ones((key.n_features, key.dim), dtype=BIPOLAR_DTYPE)
-    for step in range(key.layers):
-        layer = permute_rows(mat[indices[:, step]], rotations[:, step])
-        product = np.multiply(product, layer, dtype=BIPOLAR_DTYPE)
+    windows = rotation_windows(mat)
+    product = windows[indices[:, 0], rotations[:, 0]].astype(BIPOLAR_DTYPE, copy=False)
+    for step in range(1, key.layers):
+        np.multiply(product, windows[indices[:, step], rotations[:, step]], out=product)
     return product

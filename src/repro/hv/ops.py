@@ -116,25 +116,39 @@ def permute_inverse(hv: np.ndarray, k: int) -> np.ndarray:
     return permute(hv, -k)
 
 
-def permute_rows(hvs: np.ndarray, shifts: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Rotate each row ``i`` of a ``(K, D)`` matrix left by ``shifts[i]``.
+def rotation_windows(hvs: np.ndarray) -> np.ndarray:
+    """Every left rotation of every row of a ``(K, D)`` matrix, as a view.
 
-    Vectorized with a gather so HDLock key application (one rotation per
-    base hypervector per feature) stays fast. Shift values are taken
-    modulo ``D``.
+    The rows are concatenated with themselves once; the result is a
+    read-only ``(K, D + 1, D)`` sliding-window view of that doubled copy
+    with ``windows[i, k] == permute(hvs[i], k)`` for ``0 <= k < D``. Each
+    rotated row is one contiguous ``D``-element slice, so a fancy index
+    ``windows[rows, shifts]`` copies out rotated rows without building an
+    index matrix — the software form of a hardware shifter.
     """
     mat = np.asarray(hvs)
     if mat.ndim != 2:
         raise ValueError(f"expected a (K, D) matrix, got shape {mat.shape}")
+    doubled = np.concatenate((mat, mat), axis=1)
+    return np.lib.stride_tricks.sliding_window_view(doubled, mat.shape[1], axis=1)
+
+
+def permute_rows(hvs: np.ndarray, shifts: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Rotate each row ``i`` of a ``(K, D)`` matrix left by ``shifts[i]``.
+
+    Reads row ``i``'s window at ``shifts[i] % D`` from
+    :func:`rotation_windows`, so each output row is one contiguous copy.
+    Shift values are taken modulo ``D`` (negatives rotate right). The
+    result is a fresh, writable array with the input's dtype.
+    """
+    windows = rotation_windows(hvs)
     shift_arr = np.asarray(shifts, dtype=np.int64)
-    if shift_arr.shape != (mat.shape[0],):
+    if shift_arr.shape != (windows.shape[0],):
         raise DimensionMismatchError(
             f"got {shift_arr.shape[0] if shift_arr.ndim else 'scalar'} shifts "
-            f"for {mat.shape[0]} rows"
+            f"for {windows.shape[0]} rows"
         )
-    d = mat.shape[1]
-    cols = (np.arange(d)[None, :] + shift_arr[:, None]) % d
-    return np.take_along_axis(mat, cols, axis=1)
+    return windows[np.arange(windows.shape[0]), shift_arr % windows.shape[2]]
 
 
 def sign(accum: np.ndarray, rng: SeedLike = None) -> np.ndarray:

@@ -94,10 +94,18 @@ def pack(hvs: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=-1)
 
 
+def _bits_to_bipolar(bits: np.ndarray) -> np.ndarray:
+    """Map a fresh ``unpackbits`` buffer to ``+-1`` in place, as int8."""
+    signs = bits.view(BIPOLAR_DTYPE)
+    signs *= 2
+    signs -= 1
+    return signs
+
+
 def unpack(packed: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of :func:`pack` for hypervectors of dimension ``dim``."""
     bits = np.unpackbits(np.asarray(packed, dtype=np.uint8), axis=-1, count=dim)
-    return (2 * bits.astype(np.int16) - 1).astype(BIPOLAR_DTYPE)
+    return _bits_to_bipolar(bits)
 
 
 def pack_words(hvs: np.ndarray) -> np.ndarray:
@@ -132,7 +140,7 @@ def unpack_words(packed: np.ndarray, dim: int) -> np.ndarray:
             f"layout, got {arr.dtype} (byte rows unpack with unpack())"
         )
     bits = np.unpackbits(np.ascontiguousarray(arr).view(np.uint8), axis=-1, count=dim)
-    return (2 * bits.astype(np.int16) - 1).astype(BIPOLAR_DTYPE)
+    return _bits_to_bipolar(bits)
 
 
 def sign_bits(accums: np.ndarray, rng: SeedLike = None) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import KeyFormatError
 from repro.hdlock.feature_factory import derive_feature_hv, derive_feature_matrix
 from repro.hdlock.keygen import generate_key
-from repro.hv.ops import bind, permute
+from repro.hv.ops import BIPOLAR_DTYPE, bind, permute
 from repro.hv.properties import orthogonality_report
 from repro.hv.random import random_pool
 from repro.memory.key import LockKey, SubKey
@@ -74,6 +74,29 @@ class TestDeriveFeatureMatrix:
         bad = LockKey([SubKey((0,), (0,))], pool_size=P, dim=D * 2)
         with pytest.raises(KeyFormatError):
             derive_feature_matrix(pool, bad)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3, 4, 5])
+    def test_rows_match_per_feature_spec_with_larger_pool(self, layers):
+        """The pool may hold more rows than the key indexes (P > pool_size)."""
+        big_pool = random_pool(P + 7, D, rng=layers)
+        key = generate_key(9, layers, P, D, rng=10 + layers)
+        matrix = derive_feature_matrix(big_pool, key)
+        assert matrix.shape == (9, D)
+        assert matrix.dtype == BIPOLAR_DTYPE
+        for i, sk in enumerate(key.subkeys):
+            np.testing.assert_array_equal(matrix[i], derive_feature_hv(big_pool, sk))
+
+    def test_output_is_fresh_and_writable(self, pool):
+        key = generate_key(4, 3, P, D, rng=6)
+        matrix = derive_feature_matrix(pool, key)
+        assert matrix.flags.writeable
+        assert not np.shares_memory(matrix, pool)
+
+    def test_wider_integer_pool_derives_int8(self, pool):
+        key = generate_key(5, 2, P, D, rng=7)
+        wide = derive_feature_matrix(pool.astype(np.int64), key)
+        assert wide.dtype == BIPOLAR_DTYPE
+        np.testing.assert_array_equal(wide, derive_feature_matrix(pool, key))
 
     def test_deterministic(self, pool):
         key = generate_key(5, 2, P, D, rng=5)

@@ -187,6 +187,63 @@ class TestPermuteRows:
         np.testing.assert_array_equal(out[0], ops.permute(pool[0], 3))
         np.testing.assert_array_equal(out[1], pool[1])
 
+    @staticmethod
+    def _roll_spec(mat, shifts):
+        """Executable spec: one np.roll per row, left by ``shifts[i]``."""
+        rows = [np.roll(row, -int(k)) for row, k in zip(mat, shifts, strict=True)]
+        return np.array(rows, dtype=mat.dtype).reshape(mat.shape)
+
+    @pytest.mark.parametrize(
+        "shifts",
+        [
+            [-1, -DIM, -DIM - 5, -3 * DIM + 7],
+            [2 * DIM, 2 * DIM + 1, 5 * DIM - 1, 10**9],
+            [0, DIM - 1, DIM, -(10**9)],
+            [DIM + 9],
+            [-2 * DIM - 9],
+        ],
+    )
+    def test_matches_roll_spec(self, rng, shifts):
+        pool = random_pool(len(shifts), DIM, rng)
+        np.testing.assert_array_equal(
+            ops.permute_rows(pool, shifts), self._roll_spec(pool, shifts)
+        )
+
+    def test_empty_matrix(self):
+        pool = np.empty((0, DIM), dtype=ops.BIPOLAR_DTYPE)
+        out = ops.permute_rows(pool, np.empty(0, dtype=np.int64))
+        assert out.shape == (0, DIM)
+        assert out.dtype == ops.BIPOLAR_DTYPE
+
+    @pytest.mark.parametrize(
+        "layout",
+        [np.asfortranarray, lambda pool: np.repeat(pool, 2, axis=1)[:, ::2]],
+        ids=["fortran-order", "column-sliced"],
+    )
+    def test_non_contiguous_input(self, rng, layout):
+        pool = layout(random_pool(6, DIM, rng))
+        assert not pool.flags.c_contiguous
+        shifts = [0, 1, -1, DIM, 3 * DIM + 2, -7]
+        np.testing.assert_array_equal(
+            ops.permute_rows(pool, shifts), self._roll_spec(pool, shifts)
+        )
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64, np.float64])
+    def test_output_is_fresh_writable_same_dtype(self, rng, dtype):
+        pool = random_pool(4, DIM, rng).astype(dtype)
+        out = ops.permute_rows(pool, [0, 1, 2, 3])
+        assert out.dtype == pool.dtype
+        assert out.flags.writeable
+        assert not np.shares_memory(out, pool)
+
+    def test_rotation_windows_are_every_rotation(self, rng):
+        pool = random_pool(3, 16, rng)
+        windows = ops.rotation_windows(pool)
+        assert windows.shape == (3, 17, 16)
+        for i in range(3):
+            for k in range(16):
+                np.testing.assert_array_equal(windows[i, k], ops.permute(pool[i], k))
+
 
 class TestSign:
     def test_positive_negative(self):

@@ -49,6 +49,43 @@ class TestPackUnpackRoundtrip:
         np.testing.assert_array_equal(unpack(pack(hv), dim), hv)
 
 
+class TestUnpackToInt8:
+    """Both unpackers map bits to +-1 inside the int8 unpackbits buffer."""
+
+    DIM = 1001
+
+    @staticmethod
+    def _int16_spec(bits: np.ndarray) -> np.ndarray:
+        """The former formula on unpacked bits: widen to int16, map, narrow."""
+        return (2 * bits.astype(np.int16) - 1).astype(np.int8)
+
+    def test_unpack(self):
+        pool = random_pool(7, self.DIM, rng=3)
+        out = unpack(pack(pool), self.DIM)
+        assert out.dtype == np.int8
+        assert out.flags.writeable
+        np.testing.assert_array_equal(out, pool)
+        np.testing.assert_array_equal(out, self._int16_spec(pool > 0))
+
+    def test_unpack_words(self):
+        pool = random_pool(7, self.DIM, rng=4)
+        out = unpack_words(pack_words(pool), self.DIM)
+        assert out.dtype == np.int8
+        assert out.flags.writeable
+        np.testing.assert_array_equal(out, pool)
+        np.testing.assert_array_equal(out, self._int16_spec(pool > 0))
+
+    def test_single_vector(self):
+        hv = random_hv(self.DIM, rng=5)
+        for out in (
+            unpack(pack(hv), self.DIM),
+            unpack_words(pack_words(hv), self.DIM),
+        ):
+            assert out.shape == (self.DIM,)
+            assert out.dtype == np.int8
+            np.testing.assert_array_equal(out, hv)
+
+
 class TestPackedHamming:
     @pytest.mark.parametrize("dim", [64, 100, 512, 1001])
     def test_matches_unpacked(self, dim):
