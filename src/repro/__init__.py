@@ -16,20 +16,24 @@ The package implements, from scratch and in pure Python/numpy:
 Batch encoding API
 ------------------
 
-Every encoder exposes ``encode_batch(samples, binary=True, chunk_size=None,
-memory_budget=None)`` backed by the vectorized engine of
-:mod:`repro.encoding.engine`: a level-major BLAS decomposition compiled
-once per encoder (:class:`~repro.encoding.engine.EncodingPlan`) that is
-bit-exact with per-sample encoding — including the randomized sign(0)
-tie-break stream — while running an order of magnitude faster at paper
-scale. Batches stream through bounded tiles: ``chunk_size`` pins the
-rows per tile, otherwise the tile is sized so the engine's float working
-set stays under ``memory_budget`` bytes (default 128 MiB —
-:data:`~repro.encoding.engine.DEFAULT_MEMORY_BUDGET`). The budget exists
-because the naive fully vectorized form materializes a ``(B, N, D)``
-gather — gigabytes at D = 10,000 — whereas a bounded tile keeps the hot
-loop in cache and lets arbitrarily large batches (the "heavy traffic"
-regime) run in constant memory. Large-pool similarity search uses the
+Every encoder (:class:`~repro.encoding.base.Encoder`) exposes the same
+five entry points — ``encode``, ``encode_nonbinary``, ``encode_packed``,
+``encode_batch(samples, binary=True)`` and ``encode_batch_packed`` — and
+supplies only its input checks and its accumulation; the shape check,
+the randomized sign(0) tie-break stream, Eq. 3 binarization and
+word-packing live once in the base, and a single sample is a batch of
+one. The record family runs on
+the vectorized engine of :mod:`repro.encoding.engine`: a level-major
+BLAS decomposition compiled once per encoder
+(:class:`~repro.encoding.engine.EncodingPlan`) that is bit-exact with
+per-sample encoding — tie stream included — while running an order of
+magnitude faster at paper scale. Batches stream through tiles sized so
+the engine's float working set stays under
+:data:`~repro.encoding.engine.DEFAULT_MEMORY_BUDGET` (128 MiB). The
+budget exists because the naive fully vectorized form materializes a
+``(B, N, D)`` gather — gigabytes at D = 10,000 — whereas a bounded tile
+keeps the hot loop in cache and lets arbitrarily large batches (the
+"heavy traffic" regime) run in constant memory. Large-pool similarity search uses the
 matching batched kernels :func:`repro.hv.similarity.nearest_batch`,
 :func:`repro.hv.packing.hamming_packed`, and
 :func:`repro.hv.packing.pairwise_hamming_packed`.
@@ -37,9 +41,9 @@ matching batched kernels :func:`repro.hv.similarity.nearest_batch`,
 Packed end-to-end flow
 ----------------------
 
-The binary hot path never leaves the packed bit domain. Encoders expose
-``encode_batch_packed(samples, ...)``, the fused form of the binary
-``encode_batch``: accumulations stream through a reused float scratch
+The binary hot path never leaves the packed bit domain. Record encoders
+fuse ``encode_batch_packed(samples)``, the packed form of the binary
+``encode_batch``, into the engine: accumulations stream through a reused float scratch
 buffer (or the carry-save bit-plane kernel of :mod:`repro.hv.bitslice`
 when the level memory defeats the BLAS decomposition) and binarize
 *in place* into uint64 bit-planes via

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.encoding.base import Encoder
 from repro.encoding.oracle import EncodingOracle
-from repro.errors import AttackError, ConfigurationError
+from repro.encoding.record import RecordEncoder
+from repro.errors import AttackError, ConfigurationError, DimensionMismatchError
 
 
 class OracleLockoutError(AttackError):
@@ -152,7 +152,7 @@ class GuardedOracle(EncodingOracle):
 
     def __init__(
         self,
-        encoder: Encoder,
+        encoder: RecordEncoder,
         monitor: QueryMonitor,
         binary: bool = True,
     ) -> None:
@@ -177,33 +177,23 @@ class GuardedOracle(EncodingOracle):
         self._gate(np.asarray(sample))
         return super().query(sample)
 
-    def query_batch(
-        self,
-        samples: np.ndarray,
-        chunk_size: int | None = None,
-        memory_budget: int | None = None,
-    ) -> np.ndarray:
-        """Serve a batch; the whole batch is refused if any row trips."""
+    def _gate_batch(self, samples: np.ndarray) -> np.ndarray:
         arr = np.asarray(samples)
+        if arr.ndim != 2:
+            raise DimensionMismatchError(
+                f"expected a 2-D batch, got shape {arr.shape}"
+            )
         for row in arr:
             self._gate(row)
-        return super().query_batch(
-            arr, chunk_size=chunk_size, memory_budget=memory_budget
-        )
+        return arr
 
-    def query_batch_packed(
-        self,
-        samples: np.ndarray,
-        chunk_size: int | None = None,
-        memory_budget: int | None = None,
-    ) -> np.ndarray:
+    def query_batch(self, samples: np.ndarray) -> np.ndarray:
+        """Serve a batch; the whole batch is refused if any row trips."""
+        return super().query_batch(self._gate_batch(samples))
+
+    def query_batch_packed(self, samples: np.ndarray) -> np.ndarray:
         """Packed variant of :meth:`query_batch`, same gating policy."""
-        arr = np.asarray(samples)
-        for row in arr:
-            self._gate(row)
-        return super().query_batch_packed(
-            arr, chunk_size=chunk_size, memory_budget=memory_budget
-        )
+        return super().query_batch_packed(self._gate_batch(samples))
 
 
 def attack_query_stream(

@@ -180,8 +180,6 @@ def score_guesses(
     surface: LockedSurface,
     observation: DifferenceObservation,
     guesses: Sequence[SubKey],
-    chunk_size: int | None = None,
-    memory_budget: int | None = None,
 ) -> np.ndarray:
     """Score many key guesses against one observation in one pass.
 
@@ -193,9 +191,10 @@ def score_guesses(
     observed target packs to uint64 bit-planes once, each tile's
     predicted signs pack as they are produced, and the mismatch count is
     one XOR-popcount — no dense sign comparison over the support. Tiles
-    follow the engine chunking model (``chunk_size`` guesses per tile,
-    or a ``memory_budget``-bounded working set). Guesses must share a
-    layer count; scores match :func:`score_guess` exactly.
+    follow the engine chunking model (a
+    :data:`~repro.encoding.engine.DEFAULT_MEMORY_BUDGET`-bounded working
+    set). Guesses must share a layer count; scores match
+    :func:`score_guess` exactly.
     """
     if not guesses:
         return np.empty(0, dtype=np.float64)
@@ -225,7 +224,7 @@ def score_guesses(
     # Per guess: the (L, |I|) column-index array, the gathered int64
     # values of the same shape, and the product/predicted rows.
     row_bytes = support.size * (2 * layers + 2) * 8
-    chunk = resolve_chunk_size(row_bytes, len(guesses), chunk_size, memory_budget)
+    chunk = resolve_chunk_size(row_bytes, len(guesses))
     for start in range(0, len(guesses), chunk):
         stop = min(start + chunk, len(guesses))
         cols = (support[None, None, :] + rotations[start:stop, :, None]) % dim

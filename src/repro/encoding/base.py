@@ -1,23 +1,22 @@
-"""Encoder interface and the shared record-encoding arithmetic.
+"""Encoder interface: one accumulate stage, one binarize-and-pack stage.
 
-Every encoder in this library maps a *discretized* sample — a length-``N``
-integer vector of value levels in ``[0, M)`` — to a ``D``-dimensional
-hypervector. The two concrete encoders (plain record-based and HDLock)
-differ only in where their feature hypervectors come from, so the
-multiply-accumulate of Eq. 2/3 lives here once::
+Every encoder in this library maps an integer input row — a record of
+``N`` value levels, or a sequence of symbol ids — to a ``D``-dimensional
+hypervector in two stages, the shape of a hardware encoder pipeline::
 
-    H_nb = sum_i ValHV[f_i] * FeaHV_i          (non-binary)
-    H_b  = sign(H_nb)                           (binary)
+    H_nb = accumulate(sample)                   (non-binary, e.g. Eq. 2)
+    H_b  = sign(H_nb)                           (binary, Eq. 3)
 
-The arithmetic itself is compiled once per encoder into an
-:class:`~repro.encoding.engine.EncodingPlan` — a level-major BLAS
-decomposition (or the bit-sliced kernel for non-linear level memories)
-with chunked batches — and every encode call (single or batch, binary
-or not) runs through it, bit-exact with the per-sample reference loop.
-``encode_batch`` exposes the engine's ``chunk_size`` /
-``memory_budget`` knobs; ``encode_batch_packed`` is the fused binary
-hot path, returning uint64 bit-planes directly so downstream Hamming
-consumers (classifier inference, attack scoring) never unpack.
+Subclasses supply only the first stage (:meth:`Encoder._accumulate`,
+over a validated ``(B, W)`` batch) and their input checks
+(:meth:`Encoder._validate`). This class owns everything else, once:
+the ``ndim`` check, the sign(0) tie-break stream, Eq. 3 binarization and
+word-packing. A single-sample call is a batch of one through the same
+code, so single, batch and packed entry points draw the tie stream
+identically. ``encode_batch_packed`` is the binary hot path, returning
+uint64 bit-planes so downstream Hamming consumers (classifier inference,
+attack scoring) never unpack; the record family fuses it into the
+engine's chunk loop (:meth:`repro.encoding.engine.EncodingPlan.accumulate_packed`).
 
 Samples are validated to be in range; quantization of raw real-valued
 data to levels is :mod:`repro.data.quantize`'s job.
@@ -29,157 +28,87 @@ import abc
 
 import numpy as np
 
-from repro.encoding.engine import EncodingPlan, binarize_batch
-from repro.errors import ConfigurationError, DimensionMismatchError
-from repro.hv.ops import sign
-from repro.memory.item_memory import LevelMemory
+from repro.encoding.engine import binarize_batch
+from repro.errors import DimensionMismatchError
+from repro.hv.packing import pack_signs
 from repro.utils.rng import SeedLike, resolve_rng
 
 
 class Encoder(abc.ABC):
-    """Base class for record encoders over a fixed level memory.
+    """Base class of every encoder: shape check, Eq. 3 and packing.
 
-    Subclasses provide :attr:`feature_matrix`; this class implements the
-    encoding arithmetic, input validation, and batching.
+    Subclasses implement :meth:`_validate` and :meth:`_accumulate`; the
+    record family also overrides :meth:`_accumulate_packed` with its
+    fused kernel.
     """
 
-    def __init__(self, level_memory: LevelMemory, rng: SeedLike = None) -> None:
-        self.level_memory = level_memory
+    def __init__(self, rng: SeedLike = None) -> None:
         #: Generator used exclusively for sign(0) tie-breaking (Eq. 3).
         self._tie_rng = resolve_rng(rng)
-        self._plan: EncodingPlan | None = None
 
     @property
     @abc.abstractmethod
-    def feature_matrix(self) -> np.ndarray:
-        """The ``(N, D)`` feature hypervectors this encoder multiplies in."""
-
-    @property
-    def n_features(self) -> int:
-        """Number of input features ``N``."""
-        return int(self.feature_matrix.shape[0])
-
-    @property
-    def levels(self) -> int:
-        """Number of discretized value levels ``M``."""
-        return self.level_memory.levels
-
-    @property
     def dim(self) -> int:
         """Hypervector dimensionality ``D``."""
-        return self.level_memory.dim
 
-    def _check_sample(self, sample: np.ndarray) -> np.ndarray:
-        arr = np.asarray(sample)
-        if arr.shape[-1] != self.n_features:
+    @abc.abstractmethod
+    def _validate(self, batch: np.ndarray) -> None:
+        """Reject a ``(B, W)`` input batch this encoder cannot encode."""
+
+    @abc.abstractmethod
+    def _accumulate(self, batch: np.ndarray) -> np.ndarray:
+        """``(B, D)`` integer accumulations of a validated batch."""
+
+    def _accumulate_packed(self, batch: np.ndarray) -> np.ndarray:
+        """Binarized, word-packed accumulations of a validated batch."""
+        return pack_signs(self._accumulate(batch), self._tie_rng)
+
+    def _checked(self, samples: np.ndarray, ndim: int) -> np.ndarray:
+        """``samples`` as a validated ``(B, W)`` batch (one row if 1-D)."""
+        arr = np.asarray(samples)
+        if arr.ndim != ndim:
             raise DimensionMismatchError(
-                f"sample has {arr.shape[-1]} features, encoder expects "
-                f"{self.n_features}"
+                f"expected a {ndim}-D input, got shape {arr.shape}"
             )
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ConfigurationError(
-                "samples must be integer level indices; quantize raw values "
-                "with repro.data.quantize first"
-            )
-        if arr.size and (arr.min() < 0 or arr.max() >= self.levels):
-            raise ConfigurationError(
-                f"level indices must lie in [0, {self.levels}), got range "
-                f"[{arr.min()}, {arr.max()}]"
-            )
-        return arr
+        batch = arr[None, :] if ndim == 1 else arr
+        self._validate(batch)
+        return batch
 
-    @property
-    def plan(self) -> EncodingPlan:
-        """The compiled batch-encoding plan for this encoder's matrices.
-
-        Built lazily on first use and cached: both operand matrices are
-        immutable by convention (re-keying builds a new encoder). Call
-        :meth:`invalidate_caches` after mutating either matrix in place.
-        """
-        if self._plan is None:
-            self._plan = EncodingPlan(self.level_memory.matrix, self.feature_matrix)
-        return self._plan
-
-    def invalidate_caches(self) -> None:
-        """Drop the compiled plan (after in-place matrix mutation)."""
-        self._plan = None
-
-    def encode_nonbinary(self, sample: np.ndarray) -> np.ndarray:
-        """Encode one sample to its integer accumulation ``H_nb`` (Eq. 2)."""
-        arr = self._check_sample(sample)
-        if arr.ndim != 1:
-            raise DimensionMismatchError(
-                f"encode_nonbinary takes one (N,) sample, got shape {arr.shape}"
-            )
-        return self.plan.accumulate_single(arr)
-
-    def encode(self, sample: np.ndarray, binary: bool = True) -> np.ndarray:
-        """Encode one sample; binarize with random tie-break if ``binary``."""
-        accum = self.encode_nonbinary(sample)
-        if not binary:
-            return accum
-        return sign(accum, self._tie_rng)
-
-    def encode_batch(
-        self,
-        samples: np.ndarray,
-        binary: bool = True,
-        chunk_size: int | None = None,
-        memory_budget: int | None = None,
-    ) -> np.ndarray:
-        """Encode a ``(B, N)`` batch into a ``(B, D)`` matrix.
-
-        Runs the whole batch through the compiled
-        :class:`~repro.encoding.engine.EncodingPlan` in bounded chunks:
-        ``chunk_size`` pins the rows per tile directly, otherwise the
-        tile is sized so its working set stays under ``memory_budget``
-        bytes (default
-        :data:`~repro.encoding.engine.DEFAULT_MEMORY_BUDGET`). Output is
-        bit-identical to encoding the samples one at a time — including
-        the order of randomized sign(0) tie-breaks.
-        """
-        arr = self._check_sample(samples)
-        if arr.ndim != 2:
-            raise DimensionMismatchError(
-                f"encode_batch takes a (B, N) matrix, got shape {arr.shape}"
-            )
-        accums = self.plan.accumulate(arr, chunk_size, memory_budget)
+    def _encode(self, batch: np.ndarray, binary: bool) -> np.ndarray:
+        accums = self._accumulate(batch)
         if not binary:
             return accums
         return binarize_batch(accums, self._tie_rng)
 
-    def encode_batch_packed(
-        self,
-        samples: np.ndarray,
-        chunk_size: int | None = None,
-        memory_budget: int | None = None,
-    ) -> np.ndarray:
-        """Encode a ``(B, N)`` batch straight into packed bit-planes.
+    def encode(self, sample: np.ndarray, binary: bool = True) -> np.ndarray:
+        """Encode one sample; binarize with random tie-break if ``binary``."""
+        return self._encode(self._checked(sample, 1), binary)[0]
 
-        The fused binary hot path: returns ``(B, ceil(D/64))`` uint64
-        rows, bit-identical to
+    def encode_nonbinary(self, sample: np.ndarray) -> np.ndarray:
+        """Encode one sample to its integer accumulation ``H_nb``."""
+        return self._encode(self._checked(sample, 1), False)[0]
+
+    def encode_batch(self, samples: np.ndarray, binary: bool = True) -> np.ndarray:
+        """Encode a ``(B, W)`` batch into a ``(B, D)`` matrix.
+
+        Bit-identical to encoding the samples one at a time — including
+        the order of randomized sign(0) tie-breaks.
+        """
+        return self._encode(self._checked(samples, 2), binary)
+
+    def encode_batch_packed(self, samples: np.ndarray) -> np.ndarray:
+        """Encode a ``(B, W)`` batch straight into packed bit-planes.
+
+        Returns ``(B, ceil(D/64))`` uint64 rows, bit-identical to
         ``pack_words(self.encode_batch(samples, binary=True))`` —
         including the sign(0) tie-break stream, which advances exactly
-        as the dense call would — without ever materializing the dense
-        sign matrix. Feed the result to
-        :func:`repro.hv.packing.hamming_packed` /
+        as the dense call would — without the dense sign matrix. Feed
+        the result to :func:`repro.hv.packing.hamming_packed` /
         :func:`~repro.hv.packing.pairwise_hamming_packed` (or any
         word-packed consumer) directly.
         """
-        arr = self._check_sample(samples)
-        if arr.ndim != 2:
-            raise DimensionMismatchError(
-                f"encode_batch_packed takes a (B, N) matrix, got shape {arr.shape}"
-            )
-        return self.plan.accumulate_packed(
-            arr, self._tie_rng, chunk_size, memory_budget
-        )
+        return self._accumulate_packed(self._checked(samples, 2))
 
     def encode_packed(self, sample: np.ndarray) -> np.ndarray:
         """Encode one sample to a ``(ceil(D/64),)`` uint64 packed HV."""
-        arr = self._check_sample(sample)
-        if arr.ndim != 1:
-            raise DimensionMismatchError(
-                f"encode_packed takes one (N,) sample, got shape {arr.shape}"
-            )
-        return self.plan.accumulate_packed(arr[None, :], self._tie_rng)[0]
+        return self._accumulate_packed(self._checked(sample, 1))[0]

@@ -32,9 +32,9 @@ two observations:
 
 Batches are processed in chunks whose float working set — the ``(chunk,
 D)`` accumulator plus the ``(chunk, N)`` indicator and the largest
-``(chunk, |support|)`` contribution tile — stays inside a configurable
-``memory_budget``, so paper-scale encodes stream through cache instead
-of materializing the ``(B, N, D)`` gather.
+``(chunk, |support|)`` contribution tile — stays inside
+:data:`DEFAULT_MEMORY_BUDGET`, so paper-scale encodes stream through
+cache instead of materializing the ``(B, N, D)`` gather.
 
 Beyond the integer batch API, the plan owns a **fused packed path**
 (:meth:`EncodingPlan.accumulate_packed`): base-init, scatter-add, and
@@ -96,27 +96,23 @@ SUPPORT_FALLBACK_RATIO = 8.0
 
 
 def resolve_chunk_size(
-    per_row_bytes: int,
-    n_rows: int,
-    chunk_size: int | None = None,
-    memory_budget: int | None = None,
+    per_row_bytes: int, n_rows: int, chunk_size: int | None = None
 ) -> int:
-    """Number of batch rows per tile under a per-chunk memory budget.
+    """Number of batch rows per tile under :data:`DEFAULT_MEMORY_BUDGET`.
 
     ``per_row_bytes`` is the engine working set one batch row costs; an
-    explicit ``chunk_size`` overrides the budget-derived value. The
-    result is always at least 1 (a single row may exceed the budget —
-    the budget bounds *batch* amplification, not the model size itself)
-    and never more than ``n_rows``.
+    explicit ``chunk_size`` overrides the budget-derived value (the
+    parity tests use it to force splits). The result is always at least
+    1 (a single row may exceed the budget — the budget bounds *batch*
+    amplification, not the model size itself) and never more than
+    ``n_rows``.
     """
     if chunk_size is not None:
         if chunk_size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
         return min(chunk_size, max(n_rows, 1))
-    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
-    if budget < 1:
-        raise ConfigurationError(f"memory_budget must be >= 1, got {budget}")
-    return max(1, min(n_rows if n_rows else 1, budget // max(per_row_bytes, 1)))
+    budget = DEFAULT_MEMORY_BUDGET // max(per_row_bytes, 1)
+    return max(1, min(n_rows if n_rows else 1, budget))
 
 
 class EncodingPlan:
@@ -124,7 +120,7 @@ class EncodingPlan:
 
     Encoders build a plan lazily and reuse it for every encode call (the
     matrices are immutable by convention; see
-    :meth:`repro.encoding.base.Encoder.invalidate_caches`). The plan
+    :meth:`repro.encoding.record.RecordEncoder.invalidate_caches`). The plan
     owns the casts the reference implementation used to redo per call —
     hoisting them is itself a ~2x saving on the per-sample path.
     """
@@ -333,21 +329,19 @@ class EncodingPlan:
         return self._accumulate_einsum(samples)
 
     def accumulate(
-        self,
-        samples: np.ndarray,
-        chunk_size: int | None = None,
-        memory_budget: int | None = None,
+        self, samples: np.ndarray, chunk_size: int | None = None
     ) -> np.ndarray:
         """Encode a validated ``(B, N)`` level batch to ``(B, D)`` int64.
 
         Chunked along the batch axis so the per-tile working set stays
-        under ``memory_budget`` bytes (or exactly ``chunk_size`` rows).
+        under :data:`DEFAULT_MEMORY_BUDGET` (or exactly ``chunk_size``
+        rows).
         """
         n_rows = int(samples.shape[0])
         out = np.empty((n_rows, self.dim), dtype=ACCUM_DTYPE)
         if n_rows == 0:
             return out
-        chunk = resolve_chunk_size(self._row_bytes, n_rows, chunk_size, memory_budget)
+        chunk = resolve_chunk_size(self._row_bytes, n_rows, chunk_size)
         scratch = self._call_scratch(chunk, n_rows)
         for start in range(0, n_rows, chunk):
             stop = min(start + chunk, n_rows)
@@ -363,7 +357,6 @@ class EncodingPlan:
         samples: np.ndarray,
         rng: SeedLike = None,
         chunk_size: int | None = None,
-        memory_budget: int | None = None,
     ) -> np.ndarray:
         """Encode a validated ``(B, N)`` batch straight to packed bits.
 
@@ -380,7 +373,7 @@ class EncodingPlan:
         if n_rows == 0:
             return out
         gen = resolve_rng(rng)
-        chunk = resolve_chunk_size(self._row_bytes, n_rows, chunk_size, memory_budget)
+        chunk = resolve_chunk_size(self._row_bytes, n_rows, chunk_size)
         scratch = self._call_scratch(chunk, n_rows)
         for start in range(0, n_rows, chunk):
             stop = min(start + chunk, n_rows)
@@ -392,10 +385,6 @@ class EncodingPlan:
         if self._obs is not None:
             self._record_call(n_rows, chunk, scratch is not None)
         return out
-
-    def accumulate_single(self, sample: np.ndarray) -> np.ndarray:
-        """Encode one validated ``(N,)`` sample to a ``(D,)`` int64 HV."""
-        return self.accumulate(sample[None, :])[0]
 
 
 def binarize_batch(accums: np.ndarray, rng: SeedLike = None) -> np.ndarray:

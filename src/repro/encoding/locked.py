@@ -3,23 +3,25 @@
 Instead of reading ``FeaHV_i`` from an indexed memory, the locked encoder
 *derives* it on the fly from the public base pool and the secret key
 (Eq. 9), then performs the ordinary record encoding (Eq. 10). The derived
-matrix is cached: deriving it is pure function of (pool, key), and the
-hardware pipelines the derivation anyway, so caching changes nothing
-observable while keeping software encoding fast.
+matrix is cached in the encoder's feature memory: deriving it is a pure
+function of (pool, key), and the hardware pipelines the derivation
+anyway, so caching changes nothing observable while keeping software
+encoding fast.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.encoding.base import Encoder
+from repro.encoding.record import RecordEncoder
 from repro.errors import DimensionMismatchError
-from repro.memory.item_memory import LevelMemory
+from repro.hv.random import random_pool
+from repro.memory.item_memory import FeatureMemory, LevelMemory
 from repro.memory.key import LockKey
-from repro.utils.rng import SeedLike
+from repro.utils.rng import SeedLike, spawn_rngs
 
 
-class LockedEncoder(Encoder):
+class LockedEncoder(RecordEncoder):
     """Record encoder whose feature HVs come from ``(base pool, key)``."""
 
     def __init__(
@@ -40,15 +42,37 @@ class LockedEncoder(Encoder):
         # LockedEncoders), so a top-level import would be circular.
         from repro.hdlock.feature_factory import derive_feature_matrix
 
-        super().__init__(level_memory, rng)
+        derived = FeatureMemory(derive_feature_matrix(pool, key))
+        super().__init__(derived, level_memory, rng)
         self.base_pool = pool
         self.key = key
-        self._derived = derive_feature_matrix(pool, key)
 
-    @property
-    def feature_matrix(self) -> np.ndarray:
-        """The derived ``(N, D)`` locked feature hypervectors (Eq. 9)."""
-        return self._derived
+    @classmethod
+    def random(
+        cls,
+        n_features: int,
+        levels: int,
+        dim: int,
+        rng: SeedLike = None,
+        *,
+        layers: int,
+        pool_size: int | None = None,
+    ) -> "LockedEncoder":
+        """Build a locked encoder over a fresh pool, level memory and key.
+
+        ``pool_size`` defaults to ``n_features`` — the paper's evaluation
+        setting (``P = N``), under which the base pool is exactly as
+        large as an unprotected feature memory. One seed drives four
+        independent streams (pool, level memory, key, tie-breaking).
+        """
+        from repro.hdlock.keygen import generate_key
+
+        p = n_features if pool_size is None else pool_size
+        pool_rng, level_rng, key_rng, tie_rng = spawn_rngs(rng, 4)
+        pool = random_pool(p, dim, pool_rng)
+        level_memory = LevelMemory.random(levels, dim, level_rng)
+        key = generate_key(n_features, layers, p, dim, key_rng)
+        return cls(pool, level_memory, key, rng=tie_rng)
 
     @property
     def layers(self) -> int:

@@ -17,15 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.encoding.engine import binarize_batch, resolve_chunk_size
+from repro.encoding.base import Encoder
+from repro.encoding.engine import resolve_chunk_size
 from repro.errors import ConfigurationError, DimensionMismatchError
-from repro.hv.ops import ACCUM_DTYPE, BIPOLAR_DTYPE, permute, sign
-from repro.hv.packing import pack_signs
+from repro.hv.ops import ACCUM_DTYPE, BIPOLAR_DTYPE, permute
 from repro.memory.key import LockKey
-from repro.utils.rng import SeedLike, resolve_rng
+from repro.utils.rng import SeedLike
 
 
-class NGramEncoder:
+class NGramEncoder(Encoder):
     """Encode symbol sequences with rotated n-gram binding.
 
     ``item_memory`` is an ``(A, D)`` matrix with one hypervector per
@@ -60,12 +60,11 @@ class NGramEncoder:
             raise DimensionMismatchError(
                 f"item memory must be (A, D), got {self._items.shape}"
             )
+        super().__init__(rng)
         self.n = n
         self.locked = key is not None
-        self._tie_rng = resolve_rng(rng)
-        # Position-rotated copies of the item matrix, shared by every
-        # encode call (the per-sample path used to rebuild them per
-        # sequence — n extra (A, D) passes each time).
+        # Position-rotated copies of the item matrix, built on first
+        # use and shared by every encode call.
         self._rotated: list[np.ndarray] | None = None
 
     @property
@@ -83,21 +82,17 @@ class NGramEncoder:
         """The (possibly key-derived) ``(A, D)`` item hypervectors."""
         return self._items
 
-    def _check_sequence(self, seq: np.ndarray) -> np.ndarray:
-        arr = np.asarray(seq)
-        if arr.ndim != 1:
-            raise DimensionMismatchError(f"sequence must be 1-D, got {arr.shape}")
-        if arr.shape[0] < self.n:
+    def _validate(self, batch: np.ndarray) -> None:
+        if batch.shape[1] < self.n:
             raise ConfigurationError(
-                f"sequence of length {arr.shape[0]} shorter than n={self.n}"
+                f"sequences of length {batch.shape[1]} shorter than n={self.n}"
             )
-        if not np.issubdtype(arr.dtype, np.integer):
+        if not np.issubdtype(batch.dtype, np.integer):
             raise ConfigurationError("sequences must contain integer symbol ids")
-        if arr.min() < 0 or arr.max() >= self.alphabet_size:
+        if batch.size and (batch.min() < 0 or batch.max() >= self.alphabet_size):
             raise ConfigurationError(
                 f"symbol ids must lie in [0, {self.alphabet_size})"
             )
-        return arr
 
     def _rotated_items(self) -> list[np.ndarray]:
         if self._rotated is None:
@@ -108,86 +103,27 @@ class NGramEncoder:
         """Drop cached rotations (after in-place item-matrix mutation)."""
         self._rotated = None
 
-    def encode_nonbinary(self, seq: np.ndarray) -> np.ndarray:
-        """Bundle all rotated n-gram bindings of ``seq`` (integer output)."""
-        arr = self._check_sequence(seq)
-        n_grams = arr.shape[0] - self.n + 1
-        # Gather from the cached position-rotated item matrices: cheaper
-        # than rotating per (t, j) pair, and shared across calls.
-        rotated = self._rotated_items()
-        grams = np.ones((n_grams, self.dim), dtype=BIPOLAR_DTYPE)
-        for j in range(self.n):
-            grams = np.multiply(
-                grams, rotated[j][arr[j : j + n_grams]], dtype=BIPOLAR_DTYPE
-            )
-        return grams.sum(axis=0, dtype=ACCUM_DTYPE)
-
-    def encode(self, seq: np.ndarray, binary: bool = True) -> np.ndarray:
-        """Encode a sequence; binarize with random tie-break if ``binary``."""
-        accum = self.encode_nonbinary(seq)
-        if not binary:
-            return accum
-        return sign(accum, self._tie_rng)
-
-    def _check_batch(self, seqs: np.ndarray) -> np.ndarray:
-        arr = np.asarray(seqs)
-        if arr.ndim != 2:
-            raise DimensionMismatchError(
-                f"encode_batch takes a (B, T) matrix of equal-length "
-                f"sequences, got shape {arr.shape}"
-            )
-        if arr.shape[1] < self.n:
-            raise ConfigurationError(
-                f"sequences of length {arr.shape[1]} shorter than n={self.n}"
-            )
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ConfigurationError("sequences must contain integer symbol ids")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.alphabet_size):
-            raise ConfigurationError(
-                f"symbol ids must lie in [0, {self.alphabet_size})"
-            )
-        return arr
-
-    def encode_batch(
-        self,
-        seqs: np.ndarray,
-        binary: bool = True,
-        chunk_size: int | None = None,
-        memory_budget: int | None = None,
-    ) -> np.ndarray:
-        """Encode a ``(B, T)`` batch of equal-length sequences to ``(B, D)``.
+    def _accumulate(self, batch: np.ndarray) -> np.ndarray:
+        """Bundle the rotated n-gram bindings of each ``(B, T)`` row.
 
         Vectorized across the batch: one ``(chunk, n_grams, D)`` bipolar
         product tile per chunk, gathered from the cached rotated item
         matrices, summed over the gram axis. Chunks are sized like the
-        record engine's (``chunk_size`` rows, or a ``memory_budget``-
-        bounded working set). Bit-identical to per-sequence
-        :meth:`encode`, including the sign(0) tie-break stream.
+        record engine's, to a
+        :data:`~repro.encoding.engine.DEFAULT_MEMORY_BUDGET`-bounded
+        working set.
         """
-        arr = self._check_batch(seqs)
-        accums = self._accumulate_batch(arr, chunk_size, memory_budget)
-        if not binary:
-            return accums
-        return binarize_batch(accums, self._tie_rng)
-
-    def _accumulate_batch(
-        self,
-        arr: np.ndarray,
-        chunk_size: int | None = None,
-        memory_budget: int | None = None,
-    ) -> np.ndarray:
-        """Chunked non-binary accumulations of a validated ``(B, T)`` batch."""
-        n_rows = int(arr.shape[0])
-        n_grams = int(arr.shape[1]) - self.n + 1
+        n_rows = int(batch.shape[0])
+        n_grams = int(batch.shape[1]) - self.n + 1
         accums = np.empty((n_rows, self.dim), dtype=ACCUM_DTYPE)
         if n_rows:
             rotated = self._rotated_items()
             # Per row: the grams tile plus the same-shaped gather
             # temporary of each bind step, plus the int64 sum row.
             row_bytes = 2 * n_grams * self.dim + self.dim * 8
-            chunk = resolve_chunk_size(row_bytes, n_rows, chunk_size, memory_budget)
+            chunk = resolve_chunk_size(row_bytes, n_rows)
             for start in range(0, n_rows, chunk):
-                block = arr[start : min(start + chunk, n_rows)]
+                block = batch[start : min(start + chunk, n_rows)]
                 grams = np.ones(
                     (block.shape[0], n_grams, self.dim), dtype=BIPOLAR_DTYPE
                 )
@@ -202,22 +138,3 @@ class NGramEncoder:
                     axis=1, dtype=ACCUM_DTYPE
                 )
         return accums
-
-    def encode_batch_packed(
-        self,
-        seqs: np.ndarray,
-        chunk_size: int | None = None,
-        memory_budget: int | None = None,
-    ) -> np.ndarray:
-        """Encode a ``(B, T)`` batch straight into packed bit-planes.
-
-        Sequence-model twin of
-        :meth:`repro.encoding.base.Encoder.encode_batch_packed`: returns
-        ``(B, ceil(D/64))`` uint64 rows bit-identical to word-packing
-        the binary :meth:`encode_batch` output (same tie stream), with
-        the dense int8 sign matrix fused away.
-        """
-        arr = self._check_batch(seqs)
-        return pack_signs(
-            self._accumulate_batch(arr, chunk_size, memory_budget), self._tie_rng
-        )

@@ -16,18 +16,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.encoding.base import Encoder
+from repro.encoding.record import RecordEncoder
 from repro.errors import ConfigurationError
 
 
 class EncodingOracle:
     """Query interface over a deployed encoding module."""
 
-    def __init__(self, encoder: Encoder, binary: bool = True) -> None:
+    def __init__(self, encoder: RecordEncoder, binary: bool = True) -> None:
         self._encoder = encoder
         #: Whether the deployed model binarizes its encodings (Eq. 3).
         self.binary = binary
-        #: Number of single-sample queries served so far.
+        #: Number of single-sample queries served so far (a rejected
+        #: malformed query is not counted).
         self.n_queries = 0
 
     @property
@@ -47,38 +48,23 @@ class EncodingOracle:
 
     def query(self, sample: np.ndarray) -> np.ndarray:
         """Encode one crafted sample and return the observable output."""
+        out = self._encoder.encode(np.asarray(sample), binary=self.binary)
         self.n_queries += 1
-        return self._encoder.encode(np.asarray(sample), binary=self.binary)
+        return out
 
-    def query_batch(
-        self,
-        samples: np.ndarray,
-        chunk_size: int | None = None,
-        memory_budget: int | None = None,
-    ) -> np.ndarray:
+    def query_batch(self, samples: np.ndarray) -> np.ndarray:
         """Encode a batch of crafted samples (counted per sample).
 
-        Runs through the encoder's vectorized batch engine; the chunking
-        knobs are passed straight to
+        Runs through the encoder's vectorized
         :meth:`~repro.encoding.base.Encoder.encode_batch`. A deployed
         device pipelines queries the same way, so batching changes the
         observable outputs in no way — only the attacker's wall-clock.
         """
-        arr = np.asarray(samples)
-        self.n_queries += int(arr.shape[0])
-        return self._encoder.encode_batch(
-            arr,
-            binary=self.binary,
-            chunk_size=chunk_size,
-            memory_budget=memory_budget,
-        )
+        out = self._encoder.encode_batch(np.asarray(samples), binary=self.binary)
+        self.n_queries += int(out.shape[0])
+        return out
 
-    def query_batch_packed(
-        self,
-        samples: np.ndarray,
-        chunk_size: int | None = None,
-        memory_budget: int | None = None,
-    ) -> np.ndarray:
+    def query_batch_packed(self, samples: np.ndarray) -> np.ndarray:
         """Encode a batch and return packed uint64 bit-planes directly.
 
         Only available on binary deployments — the packed bus *is* the
@@ -91,8 +77,6 @@ class EncodingOracle:
             raise ConfigurationError(
                 "packed queries are only defined for binary oracles"
             )
-        arr = np.asarray(samples)
-        self.n_queries += int(arr.shape[0])
-        return self._encoder.encode_batch_packed(
-            arr, chunk_size=chunk_size, memory_budget=memory_budget
-        )
+        out = self._encoder.encode_batch_packed(np.asarray(samples))
+        self.n_queries += int(out.shape[0])
+        return out

@@ -26,10 +26,9 @@ import math
 
 import numpy as np
 
-from repro.encoding.engine import binarize_batch
+from repro.encoding.base import Encoder
 from repro.encoding.locked import LockedEncoder
-from repro.errors import ConfigurationError, DimensionMismatchError
-from repro.hv.packing import pack_words
+from repro.errors import ConfigurationError
 from repro.memory.item_memory import LevelMemory
 from repro.memory.key import LockKey
 from repro.utils.rng import SeedLike
@@ -45,68 +44,24 @@ class TransmissionLockedEncoder(LockedEncoder):
     """Locked encoder that transforms accumulations before transmission.
 
     Subclasses implement :meth:`_transform_rows` over a ``(B, D)`` batch
-    of integer accumulations. Every encode path — single, batch, packed —
-    routes through the transform, so the attacker-facing oracle and the
+    of integer accumulations. The transform is this encoder's whole
+    accumulate stage, so every encode path — single, batch, packed —
+    routes through it, and the attacker-facing oracle and the
     owner-side training loop observe the same privatized encodings.
 
-    The fused packed kernel binarizes raw accumulations in-place, so the
-    packed paths here take the dense detour (transform, binarize, pack);
-    privacy variants trade that hot-path fusion for the transmission
-    defense by construction.
+    The record family's fused packed kernel binarizes raw accumulations
+    in its chunk loop, so the packed paths here use the base encoder's
+    binarize-and-pack stage after the transform instead.
     """
 
     def _transform_rows(self, accums: np.ndarray) -> np.ndarray:
         """Map raw ``(B, D)`` accumulations to transmitted values."""
         raise NotImplementedError
 
-    def encode_nonbinary(self, sample: np.ndarray) -> np.ndarray:
-        """One sample's transmitted (privatized) accumulation."""
-        accum = super().encode_nonbinary(sample)
-        return self._transform_rows(accum[None, :])[0]
+    def _accumulate(self, batch: np.ndarray) -> np.ndarray:
+        return self._transform_rows(super()._accumulate(batch))
 
-    def encode_batch(
-        self,
-        samples: np.ndarray,
-        binary: bool = True,
-        chunk_size: int | None = None,
-        memory_budget: int | None = None,
-    ) -> np.ndarray:
-        """Batch encode with the transmission transform applied."""
-        arr = self._check_sample(samples)
-        if arr.ndim != 2:
-            raise DimensionMismatchError(
-                f"encode_batch takes a (B, N) matrix, got shape {arr.shape}"
-            )
-        accums = self._transform_rows(
-            self.plan.accumulate(arr, chunk_size, memory_budget)
-        )
-        if not binary:
-            return accums
-        return binarize_batch(accums, self._tie_rng)
-
-    def encode_batch_packed(
-        self,
-        samples: np.ndarray,
-        chunk_size: int | None = None,
-        memory_budget: int | None = None,
-    ) -> np.ndarray:
-        """Packed batch path: dense privatized signs, packed at the end."""
-        dense = self.encode_batch(
-            samples,
-            binary=True,
-            chunk_size=chunk_size,
-            memory_budget=memory_budget,
-        )
-        return pack_words(dense)
-
-    def encode_packed(self, sample: np.ndarray) -> np.ndarray:
-        """Packed single-sample path through the transform."""
-        arr = self._check_sample(sample)
-        if arr.ndim != 1:
-            raise DimensionMismatchError(
-                f"encode_packed takes one (N,) sample, got shape {arr.shape}"
-            )
-        return self.encode_batch_packed(arr[None, :])[0]
+    _accumulate_packed = Encoder._accumulate_packed
 
 
 class QuantizedLockedEncoder(TransmissionLockedEncoder):

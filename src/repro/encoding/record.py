@@ -2,7 +2,11 @@
 
 Feature hypervectors are read directly from an indexed
 :class:`~repro.memory.item_memory.FeatureMemory` — precisely the design
-whose index mapping the reasoning attack of Sec. 3 recovers.
+whose index mapping the reasoning attack of Sec. 3 recovers. The
+multiply-accumulate of Eq. 2 is compiled once per encoder into an
+:class:`~repro.encoding.engine.EncodingPlan` — a level-major BLAS
+decomposition (or the bit-sliced kernel for non-linear level memories)
+with chunked batches — bit-exact with the per-sample reference loop.
 """
 
 from __future__ import annotations
@@ -10,9 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.encoding.base import Encoder
-from repro.errors import DimensionMismatchError
+from repro.encoding.engine import EncodingPlan
+from repro.errors import ConfigurationError, DimensionMismatchError
 from repro.memory.item_memory import FeatureMemory, LevelMemory
-from repro.utils.rng import SeedLike
+from repro.utils.rng import SeedLike, spawn_rngs
 
 
 class RecordEncoder(Encoder):
@@ -33,8 +38,10 @@ class RecordEncoder(Encoder):
                 f"feature memory D={feature_memory.dim} but level memory "
                 f"D={level_memory.dim}"
             )
-        super().__init__(level_memory, rng)
+        super().__init__(rng)
         self.feature_memory = feature_memory
+        self.level_memory = level_memory
+        self._plan: EncodingPlan | None = None
 
     @classmethod
     def random(
@@ -49,8 +56,6 @@ class RecordEncoder(Encoder):
         One seed argument drives three independent streams (feature
         memory, level memory, tie-breaking) so results are reproducible.
         """
-        from repro.utils.rng import spawn_rngs
-
         feat_rng, level_rng, tie_rng = spawn_rngs(rng, 3)
         return cls(
             FeatureMemory.random(n_features, dim, feat_rng),
@@ -60,5 +65,59 @@ class RecordEncoder(Encoder):
 
     @property
     def feature_matrix(self) -> np.ndarray:
-        """The indexed ``(N, D)`` feature hypervector matrix."""
+        """The ``(N, D)`` feature hypervector matrix."""
         return self.feature_memory.matrix
+
+    @property
+    def n_features(self) -> int:
+        """Number of input features ``N``."""
+        return int(self.feature_matrix.shape[0])
+
+    @property
+    def levels(self) -> int:
+        """Number of discretized value levels ``M``."""
+        return self.level_memory.levels
+
+    @property
+    def dim(self) -> int:
+        """Hypervector dimensionality ``D``."""
+        return self.level_memory.dim
+
+    @property
+    def plan(self) -> EncodingPlan:
+        """The compiled batch-encoding plan for this encoder's matrices.
+
+        Built lazily on first use and cached: both operand matrices are
+        immutable by convention (re-keying builds a new encoder). Call
+        :meth:`invalidate_caches` after mutating either matrix in place.
+        """
+        if self._plan is None:
+            self._plan = EncodingPlan(self.level_memory.matrix, self.feature_matrix)
+        return self._plan
+
+    def invalidate_caches(self) -> None:
+        """Drop the compiled plan (after in-place matrix mutation)."""
+        self._plan = None
+
+    def _validate(self, batch: np.ndarray) -> None:
+        if batch.shape[1] != self.n_features:
+            raise DimensionMismatchError(
+                f"sample has {batch.shape[1]} features, encoder expects "
+                f"{self.n_features}"
+            )
+        if not np.issubdtype(batch.dtype, np.integer):
+            raise ConfigurationError(
+                "samples must be integer level indices; quantize raw values "
+                "with repro.data.quantize first"
+            )
+        if batch.size and (batch.min() < 0 or batch.max() >= self.levels):
+            raise ConfigurationError(
+                f"level indices must lie in [0, {self.levels}), got range "
+                f"[{batch.min()}, {batch.max()}]"
+            )
+
+    def _accumulate(self, batch: np.ndarray) -> np.ndarray:
+        return self.plan.accumulate(batch)
+
+    def _accumulate_packed(self, batch: np.ndarray) -> np.ndarray:
+        return self.plan.accumulate_packed(batch, self._tie_rng)

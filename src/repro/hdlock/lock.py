@@ -22,7 +22,6 @@ from repro.encoding.record import RecordEncoder
 from repro.errors import ConfigurationError
 from repro.hdlock.keygen import generate_key
 from repro.hv.random import random_pool
-from repro.memory.item_memory import LevelMemory
 from repro.memory.key import LockKey
 from repro.memory.secure import SecureMemory
 from repro.model.train import TrainingResult, train_model
@@ -62,19 +61,20 @@ def create_locked_encoder(
     ``pool_size`` defaults to ``n_features`` — the paper's evaluation
     setting (``P = N``), under which the base pool is exactly as large
     as an unprotected feature memory, i.e. zero extra public storage.
+    See :meth:`~repro.encoding.locked.LockedEncoder.random`.
     """
     if layers < 1:
         raise ConfigurationError(f"layers must be >= 1, got {layers}")
-    p = n_features if pool_size is None else pool_size
-    pool_rng, level_rng, key_rng, tie_rng = spawn_rngs(rng, 4)
-    pool = random_pool(p, dim, pool_rng)
-    level_memory = LevelMemory.random(levels, dim, level_rng)
-    key = generate_key(n_features, layers, p, dim, key_rng)
-    encoder = LockedEncoder(pool, level_memory, key, rng=tie_rng)
+    encoder = LockedEncoder.random(
+        n_features, levels, dim, rng, layers=layers, pool_size=pool_size
+    )
     secure = SecureMemory()
-    secure.store("lock_key", key)
+    secure.store("lock_key", encoder.key)
     return LockedSystem(
-        encoder=encoder, key=key, base_pool=pool, secure_memory=secure
+        encoder=encoder,
+        key=encoder.key,
+        base_pool=encoder.base_pool,
+        secure_memory=secure,
     )
 
 

@@ -261,11 +261,8 @@ class HDClassifier:
         """
         arr = np.asarray(samples)
         if self.binary:
-            encode_packed = getattr(self.encoder, "encode_batch_packed", None)
-            if encode_packed is not None:
-                return self._predict_packed(encode_packed(arr))
-        encoded = self.encoder.encode_batch(arr, binary=self.binary)
-        return self._predict_encoded(encoded)
+            return self._predict_packed(self.encoder.encode_batch_packed(arr))
+        return self._predict_encoded(self.encoder.encode_batch(arr, binary=False))
 
     def similarity_profile(self, sample: np.ndarray) -> np.ndarray:
         """Per-class similarity of one sample (cosine or ``1 - hamming``).

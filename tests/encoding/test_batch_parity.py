@@ -13,7 +13,9 @@ Coverage per the HDXplore-style checklist: all four encoders, binary and
 non-binary outputs, odd dimensions (D not divisible by 8 or the chunk
 size), B = 0 / B = 1 edge batches, chunk boundaries (chunk of 1, a chunk
 that does not divide B, a chunk larger than B, and tiny memory budgets),
-plus the einsum fallback plan for non-linear level memories.
+plus the einsum fallback plan for non-linear level memories. Record
+splits are forced through the plan's ``chunk_size``; the n-gram and
+oracle paths are split by shrinking the engine's memory budget.
 """
 
 from __future__ import annotations
@@ -21,9 +23,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.attack.countermeasures import GuardedOracle, QueryMonitor
+from repro.encoding.engine import binarize_batch
 from repro.encoding.ngram import NGramEncoder
 from repro.encoding.oracle import EncodingOracle
+from repro.encoding.privacy import QuantizedLockedEncoder
 from repro.encoding.record import RecordEncoder
+from repro.errors import DimensionMismatchError
 from repro.hdlock.lock import create_locked_encoder
 from repro.hv.ops import ACCUM_DTYPE, sign
 from repro.hv.random import random_pool
@@ -101,6 +107,13 @@ def _samples(encoder, batch: int, seed: int = 7) -> np.ndarray:
     return gen.integers(0, encoder.levels, size=(batch, encoder.n_features))
 
 
+def _budget_rows(monkeypatch, rows: int, row_bytes: int) -> None:
+    """Shrink the engine memory budget to exactly ``rows`` rows per chunk."""
+    monkeypatch.setattr(
+        "repro.encoding.engine.DEFAULT_MEMORY_BUDGET", rows * row_bytes
+    )
+
+
 class TestRecordFamilyParity:
     @pytest.mark.parametrize("name", sorted(RECORD_FACTORIES))
     @pytest.mark.parametrize("binary", [True, False])
@@ -119,13 +132,15 @@ class TestRecordFamilyParity:
         # 64 (single chunk larger than the batch) must all agree.
         encoder, reference = _pair("record-odd-dim")
         samples = _samples(encoder, 33)
-        got = encoder.encode_batch(samples, binary=True, chunk_size=chunk_size)
+        accums = encoder.plan.accumulate(samples, chunk_size=chunk_size)
+        got = binarize_batch(accums, encoder._tie_rng)
         np.testing.assert_array_equal(got, reference.encode_batch(samples, True))
 
-    def test_tiny_memory_budget_still_exact(self):
+    def test_tiny_memory_budget_still_exact(self, monkeypatch):
+        monkeypatch.setattr("repro.encoding.engine.DEFAULT_MEMORY_BUDGET", 1)
         encoder, reference = _pair("record-even-dim")
         samples = _samples(encoder, 9)
-        got = encoder.encode_batch(samples, binary=False, memory_budget=1)
+        got = encoder.encode_batch(samples, binary=False)
         np.testing.assert_array_equal(got, reference.encode_batch(samples, False))
 
     def test_fallback_mode_engaged(self):
@@ -177,13 +192,16 @@ class TestTieBreakDeterminism:
 class TestNGramParity:
     @pytest.mark.parametrize("binary", [True, False])
     @pytest.mark.parametrize("batch", [1, 6])
-    def test_bit_exact(self, binary, batch):
+    def test_bit_exact(self, binary, batch, monkeypatch):
         def build():
             return NGramEncoder(random_pool(7, ODD_DIM, rng=4), n=3, rng=21)
 
         encoder, reference = build(), ReferenceNGram(build())
         seqs = np.random.default_rng(5).integers(0, 7, size=(batch, 17))
-        got = encoder.encode_batch(seqs, binary=binary, chunk_size=4)
+        # 4-row chunks: a ragged tail at B = 6, one oversize chunk at
+        # B = 1. Per row: two (15, D) int8 tiles plus the int64 sum row.
+        _budget_rows(monkeypatch, 4, 2 * 15 * ODD_DIM + 8 * ODD_DIM)
+        got = encoder.encode_batch(seqs, binary=binary)
         np.testing.assert_array_equal(got, reference.encode_batch(seqs, binary))
 
     def test_empty_batch(self):
@@ -210,13 +228,58 @@ class TestNGramParity:
 
 class TestOracleParity:
     @pytest.mark.parametrize("binary", [True, False])
-    def test_query_batch_matches_reference(self, binary):
+    def test_query_batch_matches_reference(self, binary, monkeypatch):
         encoder, reference = _pair("record-odd-dim")
         oracle = EncodingOracle(encoder, binary=binary)
         samples = _samples(encoder, 8)
-        got = oracle.query_batch(samples, chunk_size=3)
+        _budget_rows(monkeypatch, 3, encoder.plan._row_bytes)
+        got = oracle.query_batch(samples)
         np.testing.assert_array_equal(got, reference.encode_batch(samples, binary))
         assert oracle.n_queries == 8
+
+
+SCALAR_FACTORIES = {
+    "record": lambda: _record(64),
+    "locked": lambda: _locked(64),
+    "quantized": lambda: QuantizedLockedEncoder.random(11, 5, 64, rng=3, layers=2),
+    "ngram": lambda: NGramEncoder(random_pool(5, 64, rng=6), n=2, rng=0),
+}
+
+
+class TestScalarInput:
+    """A 0-d input is a shape error on every entry point of every encoder."""
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_FACTORIES))
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "encode",
+            "encode_nonbinary",
+            "encode_packed",
+            "encode_batch",
+            "encode_batch_packed",
+        ],
+    )
+    def test_scalar_raises_dimension_mismatch(self, name, entry):
+        encoder = SCALAR_FACTORIES[name]()
+        with pytest.raises(DimensionMismatchError):
+            getattr(encoder, entry)(np.int64(1))
+
+    def test_oracle_scalar_query(self):
+        oracle = EncodingOracle(_record(64))
+        with pytest.raises(DimensionMismatchError):
+            oracle.query(3)
+        with pytest.raises(DimensionMismatchError):
+            oracle.query_batch(np.int64(3))
+        assert oracle.n_queries == 0
+
+    @pytest.mark.parametrize("entry", ["query_batch", "query_batch_packed"])
+    def test_guarded_oracle_scalar_batch(self, entry):
+        encoder = _record(64)
+        monitor = QueryMonitor(encoder.n_features, encoder.levels)
+        oracle = GuardedOracle(encoder, monitor)
+        with pytest.raises(DimensionMismatchError):
+            getattr(oracle, entry)(np.int64(3))
 
 
 class TestEngineSpecAgreesWithReference:

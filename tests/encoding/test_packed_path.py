@@ -80,15 +80,18 @@ class TestPackedParity:
         packed_side = ENCODERS["record-odd-dim"]()
         dense_side = ENCODERS["record-odd-dim"]()
         samples = _samples(packed_side, 33)
-        got = packed_side.encode_batch_packed(samples, chunk_size=chunk_size)
+        got = packed_side.plan.accumulate_packed(
+            samples, packed_side._tie_rng, chunk_size=chunk_size
+        )
         want = pack_words(dense_side.encode_batch(samples, binary=True))
         np.testing.assert_array_equal(got, want)
 
-    def test_tiny_memory_budget(self):
+    def test_tiny_memory_budget(self, monkeypatch):
+        monkeypatch.setattr("repro.encoding.engine.DEFAULT_MEMORY_BUDGET", 1)
         packed_side = ENCODERS["bitslice-nonlinear-levels"]()
         dense_side = ENCODERS["bitslice-nonlinear-levels"]()
         samples = _samples(packed_side, 9)
-        got = packed_side.encode_batch_packed(samples, memory_budget=1)
+        got = packed_side.encode_batch_packed(samples)
         want = pack_words(dense_side.encode_batch(samples, binary=True))
         np.testing.assert_array_equal(got, want)
 
@@ -120,14 +123,16 @@ class TestPackedParity:
             pack_words(dense_side.encode(sample, binary=True)),
         )
 
-    def test_ngram_packed_parity(self):
+    def test_ngram_packed_parity(self, monkeypatch):
         def build():
             return NGramEncoder(random_pool(7, ODD_DIM, rng=4), n=3, rng=21)
 
         packed_side, dense_side = build(), build()
         seqs = np.random.default_rng(5).integers(0, 7, size=(6, 17))
+        # A one-byte budget degenerates to one sequence per chunk.
+        monkeypatch.setattr("repro.encoding.engine.DEFAULT_MEMORY_BUDGET", 1)
         np.testing.assert_array_equal(
-            packed_side.encode_batch_packed(seqs, chunk_size=4),
+            packed_side.encode_batch_packed(seqs),
             pack_words(dense_side.encode_batch(seqs, binary=True)),
         )
 
@@ -248,12 +253,17 @@ class TestZeroRoundTrips:
         )
         assert scores[0] == pytest.approx(0.0)
 
-    def test_oracle_packed_queries(self):
+    def test_oracle_packed_queries(self, monkeypatch):
         encoder = ENCODERS["record-odd-dim"]()
         dense_side = ENCODERS["record-odd-dim"]()
         oracle = EncodingOracle(encoder, binary=True)
         samples = _samples(encoder, 8)
-        got = oracle.query_batch_packed(samples, chunk_size=3)
+        # Three-row chunks, the last one ragged.
+        monkeypatch.setattr(
+            "repro.encoding.engine.DEFAULT_MEMORY_BUDGET",
+            3 * encoder.plan._row_bytes,
+        )
+        got = oracle.query_batch_packed(samples)
         np.testing.assert_array_equal(
             got, pack_words(dense_side.encode_batch(samples, binary=True))
         )

@@ -80,6 +80,15 @@ class TestQuantizer:
         assert rekeyed.clip_sigmas == 2.0
         assert rekeyed.key == fresh_key
 
+    def test_random_builds_the_subclass(self):
+        encoder = QuantizedLockedEncoder.random(
+            N_FEATURES, LEVELS, DIM, rng=5, layers=2
+        )
+        assert isinstance(encoder, QuantizedLockedEncoder)
+        assert encoder.layers == 2
+        assert encoder.pool_size == N_FEATURES
+        assert encoder.quant_levels == 3
+
 
 class TestSparsifier:
     def test_exact_keep_count_per_row(self, parts, samples):
@@ -118,19 +127,27 @@ class TestPathParity:
     """Single, batch and packed paths agree through the transform."""
 
     @pytest.mark.parametrize(
-        "factory",
-        [QuantizedLockedEncoder, SparsifiedLockedEncoder],
-        ids=["quantized", "sparsified"],
+        ("factory", "binary"),
+        [
+            (QuantizedLockedEncoder, False),
+            (SparsifiedLockedEncoder, False),
+            (QuantizedLockedEncoder, True),
+            (SparsifiedLockedEncoder, True),
+        ],
+        ids=["quantized", "sparsified", "quantized-binary", "sparsified-binary"],
     )
-    def test_single_equals_batch_nonbinary(self, parts, samples, factory):
+    def test_single_equals_batch_nonbinary(self, parts, samples, factory, binary):
+        # binary=True replays the single-sample tie stream: the quantizer
+        # zeroes most coordinates, so that run is dense with sign(0) draws
         single = factory(*parts, rng=5)
         batch = factory(*parts, rng=5)
         rows = np.stack(
-            [single.encode_nonbinary(sample) for sample in samples]
+            [
+                single.encode(sample) if binary else single.encode_nonbinary(sample)
+                for sample in samples
+            ]
         )
-        np.testing.assert_array_equal(
-            rows, batch.encode_batch(samples, binary=False)
-        )
+        np.testing.assert_array_equal(rows, batch.encode_batch(samples, binary))
 
     @pytest.mark.parametrize(
         "factory",
