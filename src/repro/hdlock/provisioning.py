@@ -2,9 +2,11 @@
 
 A real HDLock rollout writes two artifacts with different trust levels:
 
-* the **public bundle** — bit-packed base pool and value memory plus a
-  manifest with shapes and SHA-256 checksums. This goes to ordinary
-  device flash; per the threat model the adversary can read all of it.
+* the **public bundle** — base pool and value memory as
+  :func:`~repro.hv.packing.pack_words` rows (``(K, ceil(D/64))``
+  uint64) plus a manifest with shapes and SHA-256 checksums. This goes
+  to ordinary device flash; per the threat model the adversary can read
+  all of it.
 * the **key material** — either a single ``LockKey`` JSON file
   (:func:`save_key`, owner-only ``0o600`` permissions) or, for fleets,
   a packed :class:`~repro.hdlock.keystore.KeyStore`
@@ -32,9 +34,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.encoding.locked import LockedEncoder
-from repro.errors import ConfigurationError, KeyFormatError
+from repro.errors import ConfigurationError, DimensionMismatchError, KeyFormatError
 from repro.hdlock.keystore import HEADER_FILE, KeyStore
-from repro.hv.packing import pack, unpack
+from repro.hv.packing import (
+    PACKED_WORD_DTYPE,
+    pack_words,
+    packed_word_width,
+    unpack_words,
+)
 from repro.memory.item_memory import LevelMemory
 from repro.memory.key import KeyBatch, LockKey
 from repro.utils.rng import SeedLike
@@ -108,8 +115,8 @@ def save_public_bundle(
     """
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
-    packed_pool = pack(encoder.base_pool)
-    packed_values = pack(encoder.level_memory.matrix)
+    packed_pool = pack_words(encoder.base_pool)
+    packed_values = pack_words(encoder.level_memory.matrix)
     np.save(path / POOL_FILE, packed_pool)
     np.save(path / VALUES_FILE, packed_values)
     manifest = BundleManifest(
@@ -151,9 +158,9 @@ def _load_packed(path: Path, what: str) -> np.ndarray:
         raise ConfigurationError(
             f"bundle {what} at {path} is corrupt or truncated: {exc}"
         ) from exc
-    if arr.ndim != 2 or arr.dtype != np.uint8:
+    if arr.ndim != 2 or arr.dtype != PACKED_WORD_DTYPE:
         raise ConfigurationError(
-            f"bundle {what} at {path} is not a packed (K, ceil(D/8)) uint8 "
+            f"bundle {what} at {path} is not a packed (K, ceil(D/64)) uint64 "
             f"array (got shape {arr.shape}, dtype {arr.dtype})"
         )
     return arr
@@ -180,9 +187,8 @@ def load_public_bundle(
     packed_pool = _load_packed(path / POOL_FILE, "base pool")
     packed_values = _load_packed(path / VALUES_FILE, "value memory")
     # Cross-check declared shapes against the loaded arrays *before*
-    # unpacking: np.unpackbits(count=dim) on a pool packed for a
-    # different width would either explode or silently mis-slice.
-    packed_width = -(-manifest.dim // 8)
+    # unpacking: words packed for a different width must never decode.
+    packed_width = packed_word_width(manifest.dim)
     if packed_pool.shape != (manifest.pool_size, packed_width):
         raise ConfigurationError(
             f"base pool shape {packed_pool.shape} inconsistent with "
@@ -203,9 +209,14 @@ def load_public_bundle(
         raise ConfigurationError(
             f"value memory in {path} fails its integrity check"
         )
-    pool = unpack(packed_pool, manifest.dim)
-    values = LevelMemory(unpack(packed_values, manifest.dim))
-    return pool, values, manifest
+    try:
+        pool = unpack_words(packed_pool, manifest.dim)
+        values = unpack_words(packed_values, manifest.dim)
+    except DimensionMismatchError as exc:
+        raise ConfigurationError(
+            f"bundle in {path} does not decode at dim={manifest.dim}: {exc}"
+        ) from exc
+    return pool, LevelMemory(values), manifest
 
 
 def load_key(path: str | Path) -> LockKey:

@@ -39,16 +39,12 @@ from repro.hv.ops import (
 )
 from repro.hv.packing import (
     PACKED_WORD_DTYPE,
-    PackedPool,
     hamming_packed,
-    pack,
     pack_signs,
     pack_words,
-    packed_hamming,
     packed_word_width,
     pairwise_hamming_packed,
     sign_bits,
-    unpack,
     unpack_words,
 )
 from repro.hv.properties import (
@@ -99,8 +95,6 @@ __all__ = [
     "nearest",
     "nearest_batch",
     "pairwise_hamming",
-    "pack",
-    "unpack",
     "pack_words",
     "unpack_words",
     "pack_signs",
@@ -108,9 +102,7 @@ __all__ = [
     "packed_word_width",
     "PACKED_WORD_DTYPE",
     "hamming_packed",
-    "packed_hamming",
     "pairwise_hamming_packed",
-    "PackedPool",
     "CarrySaveAccumulator",
     "bitsliced_accumulate",
     "OrthogonalityReport",

@@ -21,7 +21,6 @@ from typing import Any, Dict, List, Tuple
 import numpy as np
 
 from repro.errors import SecureMemoryError
-from repro.hv.packing import pack
 from repro.hv.random import shuffled_copy
 from repro.utils.rng import SeedLike
 
@@ -43,7 +42,6 @@ class PublicMemory:
             raise ValueError(f"public memory needs a (K, D) matrix, got {arr.shape}")
         self.rows = arr
         self.label = label
-        self._nbytes_packed: int | None = None
 
     @classmethod
     def publish(
@@ -71,13 +69,9 @@ class PublicMemory:
     def nbytes_packed(self) -> int:
         """Footprint of this pool in deployed (bit-packed) form.
 
-        Computed once and cached — the rows are fixed at publish time,
-        and re-packing a paper-scale pool on every property read made
-        this O(K * D) per access.
+        One bit per element: ``ceil(D / 8)`` bytes per row.
         """
-        if self._nbytes_packed is None:
-            self._nbytes_packed = int(pack(self.rows).nbytes)
-        return self._nbytes_packed
+        return len(self) * -(-self.dim // 8)
 
     def row(self, j: int) -> np.ndarray:
         """Read one published row (attacker-permitted operation)."""

@@ -200,11 +200,10 @@ class TestZeroRoundTrips:
 
             return _fail
 
-        # No dense binarize, no byte-layout pack, no unpack, and no
-        # re-pack of the cached class memory during steady-state predict.
+        # No dense binarize, no unpack, and no re-pack of the cached
+        # class memory during steady-state predict.
         monkeypatch.setattr(encoding_base, "binarize_batch", boom("binarize_batch"))
         monkeypatch.setattr(classifier_mod, "pack_words", boom("pack_words"))
-        monkeypatch.setattr("repro.hv.packing.unpack", boom("unpack"))
         monkeypatch.setattr("repro.hv.packing.unpack_words", boom("unpack_words"))
         predictions = model.predict(samples)
         assert predictions.shape == (40,)
@@ -244,7 +243,6 @@ class TestZeroRoundTrips:
         surface, _ = expose_locked_model(system.encoder)
         observation = observe_difference(surface, feature=0)
         guesses = [system.key.subkeys[0], system.key.subkeys[1]]
-        monkeypatch.setattr("repro.hv.packing.unpack", boom_any)
         monkeypatch.setattr("repro.hv.packing.unpack_words", boom_any)
         scores = score_guesses(surface, observation, guesses)
         np.testing.assert_allclose(

@@ -1,11 +1,13 @@
 """Tests for deployment provisioning (bundle save/load, key separation)."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, KeyFormatError
+from repro.hdlock import provisioning
 from repro.hdlock.keygen import generate_keys
 from repro.hdlock.lock import create_locked_encoder
 from repro.hdlock.provisioning import (
@@ -25,6 +27,7 @@ from repro.hdlock.provisioning import (
     save_key,
     save_public_bundle,
 )
+from repro.hv.packing import PACKED_WORD_DTYPE, packed_word_width
 
 N, M, D = 16, 5, 512
 
@@ -50,13 +53,16 @@ class TestSaveLoadRoundtrip:
         assert load_key(path) == system.key
 
     def test_restore_encoder_is_equivalent(self, system, tmp_path):
-        save_public_bundle(tmp_path, system.encoder)
-        restored = restore_encoder(tmp_path, system.key, rng=1)
-        sample = np.random.default_rng(2).integers(0, M, N)
-        np.testing.assert_array_equal(
-            restored.encode_nonbinary(sample),
-            system.encoder.encode_nonbinary(sample),
-        )
+        # D = 100 leaves 28 pad bits in each row's last word.
+        odd = create_locked_encoder(N, M, 100, layers=2, rng=0)
+        for name, locked in (("word-aligned", system), ("padded", odd)):
+            save_public_bundle(tmp_path / name, locked.encoder)
+            restored = restore_encoder(tmp_path / name, locked.key, rng=1)
+            sample = np.random.default_rng(2).integers(0, M, N)
+            np.testing.assert_array_equal(
+                restored.encode_nonbinary(sample),
+                locked.encoder.encode_nonbinary(sample),
+            )
 
     def test_key_not_in_public_bundle(self, system, tmp_path):
         """The public bundle must never contain key material."""
@@ -67,8 +73,8 @@ class TestSaveLoadRoundtrip:
     def test_bundle_is_bit_packed(self, system, tmp_path):
         save_public_bundle(tmp_path, system.encoder)
         stored = np.load(tmp_path / POOL_FILE)
-        assert stored.dtype == np.uint8
-        assert stored.nbytes == N * D // 8
+        assert stored.dtype == PACKED_WORD_DTYPE
+        assert stored.nbytes == N * packed_word_width(D) * 8
 
 
 class TestIntegrity:
@@ -152,6 +158,25 @@ class TestErrorContract:
         with pytest.raises(KeyFormatError, match="unreadable"):
             load_key(tmp_path / "lock_key.json")
 
+    def test_byte_row_bundle_refused(self, system, tmp_path, monkeypatch):
+        """A bundle in the earlier uint8 byte-row layout, with digests
+        that match its rows, is refused by dtype and never decoded."""
+        save_public_bundle(tmp_path, system.encoder)
+        manifest = json.loads((tmp_path / MANIFEST_FILE).read_text())
+        for name, field in ((POOL_FILE, "pool_sha256"), (VALUES_FILE, "values_sha256")):
+            byte_rows = np.ascontiguousarray(np.load(tmp_path / name).view(np.uint8))
+            assert byte_rows.shape[1] == D // 8
+            np.save(tmp_path / name, byte_rows)
+            manifest[field] = hashlib.sha256(byte_rows.tobytes()).hexdigest()
+        (tmp_path / MANIFEST_FILE).write_text(json.dumps(manifest))
+
+        def never_decode(*args, **kwargs):
+            raise AssertionError("byte rows reached unpack_words")
+
+        monkeypatch.setattr(provisioning, "unpack_words", never_decode)
+        with pytest.raises(ConfigurationError, match="uint64"):
+            load_public_bundle(tmp_path)
+
     def test_pool_wrong_dtype_rejected(self, system, tmp_path):
         save_public_bundle(tmp_path, system.encoder)
         np.save(tmp_path / POOL_FILE, np.zeros((N, D), dtype=np.int64))
@@ -193,6 +218,20 @@ class TestManifestTamperMatrix:
         save_public_bundle(tmp_path, system.encoder)
         self._tamper(tmp_path, field, 0)
         with pytest.raises(ConfigurationError, match="degenerate"):
+            load_public_bundle(tmp_path)
+
+    def test_pad_bit_set_refused(self, tmp_path):
+        """A pad bit set past D, with the digest recomputed to match,
+        fails as a ConfigurationError like any other corrupt bundle."""
+        odd = create_locked_encoder(N, M, 100, layers=2, rng=0)
+        save_public_bundle(tmp_path, odd.encoder)
+        packed = np.load(tmp_path / POOL_FILE)
+        packed.view(np.uint8)[0, 15] |= 0x01  # bit 127 of row 0; D = 100
+        np.save(tmp_path / POOL_FILE, packed)
+        self._tamper(
+            tmp_path, "pool_sha256", hashlib.sha256(packed.tobytes()).hexdigest()
+        )
+        with pytest.raises(ConfigurationError, match="dim=100"):
             load_public_bundle(tmp_path)
 
     def test_values_bit_flip_detected(self, system, tmp_path):

@@ -9,15 +9,11 @@ from repro.encoding.engine import binarize_batch
 from repro.errors import DimensionMismatchError
 from repro.hv.packing import (
     PACKED_WORD_DTYPE,
-    PackedPool,
     hamming_packed,
-    pack,
     pack_signs,
     pack_words,
-    packed_hamming,
     packed_word_width,
     pairwise_hamming_packed,
-    unpack,
     unpack_words,
 )
 from repro.hv.random import random_hv, random_pool
@@ -28,29 +24,30 @@ class TestPackUnpackRoundtrip:
     @pytest.mark.parametrize("dim", [8, 64, 100, 1000, 1027])
     def test_roundtrip(self, dim):
         hv = random_hv(dim, rng=dim)
-        np.testing.assert_array_equal(unpack(pack(hv), dim), hv)
+        np.testing.assert_array_equal(unpack_words(pack_words(hv), dim), hv)
 
     def test_matrix_roundtrip(self):
         pool = random_pool(9, 333, rng=1)
-        np.testing.assert_array_equal(unpack(pack(pool), 333), pool)
+        np.testing.assert_array_equal(unpack_words(pack_words(pool), 333), pool)
 
     def test_packed_size(self):
+        # 1000 bits round up to 16 words.
         hv = random_hv(1000, rng=0)
-        assert pack(hv).nbytes == 125
+        assert pack_words(hv).nbytes == 128
 
     def test_pack_is_8x_smaller(self):
         pool = random_pool(16, 1024, rng=0)
-        assert pack(pool).nbytes * 8 == pool.nbytes
+        assert pack_words(pool).nbytes * 8 == pool.nbytes
 
     @given(st.integers(min_value=1, max_value=200))
     @settings(max_examples=25, deadline=None)
     def test_roundtrip_any_dim(self, dim):
         hv = random_hv(dim, rng=dim)
-        np.testing.assert_array_equal(unpack(pack(hv), dim), hv)
+        np.testing.assert_array_equal(unpack_words(pack_words(hv), dim), hv)
 
 
 class TestUnpackToInt8:
-    """Both unpackers map bits to +-1 inside the int8 unpackbits buffer."""
+    """unpack_words maps bits to +-1 inside the int8 unpackbits buffer."""
 
     DIM = 1001
 
@@ -58,14 +55,6 @@ class TestUnpackToInt8:
     def _int16_spec(bits: np.ndarray) -> np.ndarray:
         """The former formula on unpacked bits: widen to int16, map, narrow."""
         return (2 * bits.astype(np.int16) - 1).astype(np.int8)
-
-    def test_unpack(self):
-        pool = random_pool(7, self.DIM, rng=3)
-        out = unpack(pack(pool), self.DIM)
-        assert out.dtype == np.int8
-        assert out.flags.writeable
-        np.testing.assert_array_equal(out, pool)
-        np.testing.assert_array_equal(out, self._int16_spec(pool > 0))
 
     def test_unpack_words(self):
         pool = random_pool(7, self.DIM, rng=4)
@@ -77,13 +66,10 @@ class TestUnpackToInt8:
 
     def test_single_vector(self):
         hv = random_hv(self.DIM, rng=5)
-        for out in (
-            unpack(pack(hv), self.DIM),
-            unpack_words(pack_words(hv), self.DIM),
-        ):
-            assert out.shape == (self.DIM,)
-            assert out.dtype == np.int8
-            np.testing.assert_array_equal(out, hv)
+        out = unpack_words(pack_words(hv), self.DIM)
+        assert out.shape == (self.DIM,)
+        assert out.dtype == np.int8
+        np.testing.assert_array_equal(out, hv)
 
 
 class TestPackedHamming:
@@ -91,30 +77,34 @@ class TestPackedHamming:
     def test_matches_unpacked(self, dim):
         a = random_hv(dim, rng=1)
         b = random_hv(dim, rng=2)
-        assert packed_hamming(pack(a), pack(b), dim) == pytest.approx(
+        assert hamming_packed(pack_words(a), pack_words(b), dim) == pytest.approx(
             float(hamming(a, b))
         )
 
     def test_matrix_vs_vector(self):
         pool = random_pool(6, 300, rng=3)
         target = random_hv(300, rng=4)
-        packed = packed_hamming(pack(pool), pack(target), 300)
+        packed = hamming_packed(pack_words(pool), pack_words(target), 300)
         np.testing.assert_allclose(packed, hamming(pool, target))
 
     def test_identical_zero(self):
         a = random_hv(77, rng=5)
-        assert packed_hamming(pack(a), pack(a), 77) == 0.0
+        assert hamming_packed(pack_words(a), pack_words(a), 77) == 0.0
 
     def test_width_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            packed_hamming(np.zeros(4, dtype=np.uint8), np.zeros(5, dtype=np.uint8), 32)
+            hamming_packed(
+                np.zeros(4, dtype=PACKED_WORD_DTYPE),
+                np.zeros(5, dtype=PACKED_WORD_DTYPE),
+                256,
+            )
 
     def test_padding_bits_do_not_count(self):
-        # dim=9 leaves 7 pad bits per row; they must never add distance.
+        # dim=9 leaves 55 pad bits per row; they must never add distance.
         a = np.ones(9, dtype=np.int8)
         b = np.ones(9, dtype=np.int8)
         b[0] = -1
-        assert packed_hamming(pack(a), pack(b), 9) == pytest.approx(1 / 9)
+        assert hamming_packed(pack_words(a), pack_words(b), 9) == pytest.approx(1 / 9)
 
 
 class TestWordPacking:
@@ -135,44 +125,18 @@ class TestWordPacking:
         assert packed_word_width(65) == 2
         assert packed_word_width(10_000) == 157
 
-    def test_byte_layout_prefix_matches_pack(self):
-        # The word layout is the byte layout zero-padded to a word
-        # boundary: the uint8 view's leading bytes are exactly pack().
-        pool = random_pool(4, 1000, rng=2)
-        byte_rows = pack(pool)
-        word_rows = pack_words(pool)
-        view = word_rows.view(np.uint8)
-        np.testing.assert_array_equal(view[:, : byte_rows.shape[1]], byte_rows)
-        assert not view[:, byte_rows.shape[1] :].any()
-
-    @pytest.mark.parametrize("dim", [64, 100, 999])
-    def test_hamming_matches_byte_layout(self, dim):
-        a, b = random_pool(5, dim, rng=3), random_hv(dim, rng=4)
-        np.testing.assert_allclose(
-            hamming_packed(pack_words(a), pack_words(b), dim),
-            hamming_packed(pack(a), pack(b), dim),
-        )
-
-    def test_pairwise_hamming_words(self):
-        a, b = random_pool(6, 130, rng=5), random_pool(4, 130, rng=6)
-        np.testing.assert_allclose(
-            pairwise_hamming_packed(pack_words(a), pack_words(b), 130, 2),
-            pairwise_hamming_packed(pack(a), pack(b), 130, 2),
-        )
-
     def test_mixed_layouts_rejected(self):
+        # A non-uint64 operand (here the same bits as uint8 byte rows) is
+        # refused by every packed kernel, never value-cast into words.
         pool = random_pool(3, 128, rng=7)
-        with pytest.raises(DimensionMismatchError):
-            hamming_packed(pack_words(pool), pack(pool), 128)
-        with pytest.raises(DimensionMismatchError):
-            pairwise_hamming_packed(pack(pool), pack_words(pool), 128)
-
-    def test_unpack_words_rejects_byte_layout(self):
-        # Value-casting a pack() byte row to uint64 words would decode
-        # to garbage; the mix-up must raise, not return wrong bits.
-        pool = random_pool(3, 128, rng=8)
-        with pytest.raises(DimensionMismatchError):
-            unpack_words(pack(pool), 128)
+        words = pack_words(pool)
+        byte_rows = words.view(np.uint8)
+        with pytest.raises(DimensionMismatchError, match="uint64"):
+            hamming_packed(words, byte_rows, 128)
+        with pytest.raises(DimensionMismatchError, match="uint64"):
+            pairwise_hamming_packed(byte_rows, words, 128)
+        with pytest.raises(DimensionMismatchError, match="uint64"):
+            unpack_words(byte_rows, 128)
 
 
 class TestPackSigns:
@@ -222,39 +186,34 @@ class TestPackSigns:
         np.testing.assert_array_equal(a[:2], b[:2])
 
 
-class TestPackedPool:
-    def test_len_and_dim(self):
-        pool = PackedPool(random_pool(12, 200, rng=0))
-        assert len(pool) == 12
-        assert pool.dim == 200
-
-    def test_unpack_row(self):
-        raw = random_pool(5, 128, rng=1)
-        pool = PackedPool(raw)
-        np.testing.assert_array_equal(pool.unpack_row(3), raw[3])
-
-    def test_unpack_all(self):
-        raw = random_pool(5, 128, rng=2)
-        np.testing.assert_array_equal(PackedPool(raw).unpack_all(), raw)
-
-    def test_hamming_to(self):
-        raw = random_pool(5, 128, rng=3)
-        pool = PackedPool(raw)
-        np.testing.assert_allclose(pool.hamming_to(raw[2]), hamming(raw, raw[2]))
-
-    def test_nbytes(self):
-        pool = PackedPool(random_pool(4, 800, rng=4))
-        assert pool.nbytes == 4 * 100
-
-    def test_requires_matrix(self):
-        with pytest.raises(ValueError):
-            PackedPool(random_hv(64, rng=5))
-
-
 class TestPairwiseHammingErrorContract:
     def test_missing_dim_raises_repro_error(self):
         """dim=None must surface as the package's DimensionMismatchError,
         not a bare ValueError — callers catch ReproError subtypes."""
-        rows = pack(random_pool(2, 64, rng=9))
+        rows = pack_words(random_pool(2, 64, rng=9))
         with pytest.raises(DimensionMismatchError, match="dim"):
             pairwise_hamming_packed(rows, rows)
+
+    @pytest.mark.parametrize(
+        "kernel, dim",
+        [
+            ("unpack", 100),  # 64 bits decoded as 100: 36 made-up coordinates
+            ("hamming", 10),  # 64 mismatches normalized by 10: a distance of 6.4
+            ("unpack", 10),  # 54 set bits silently dropped
+            ("pairwise", 0),  # divides by zero: nan plus a RuntimeWarning
+            ("hamming", 0),
+            ("unpack", 0),
+            ("pairwise", 65),
+        ],
+    )
+    def test_dim_must_match_packed_width(self, kernel, dim):
+        """A dim that does not fit the operands' word width is refused,
+        never silently decoded or normalized."""
+        rows = pack_words(random_pool(2, 64, rng=10))
+        calls = {
+            "unpack": lambda: unpack_words(rows, dim),
+            "hamming": lambda: hamming_packed(rows, ~rows, dim),
+            "pairwise": lambda: pairwise_hamming_packed(rows, rows, dim),
+        }
+        with pytest.raises(DimensionMismatchError, match="dim"):
+            calls[kernel]()

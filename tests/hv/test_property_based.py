@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from repro.hv.ops import bind, permute, permute_inverse
 from repro.hv.packing import (
     hamming_packed,
-    pack,
+    pack_words,
     pairwise_hamming_packed,
-    unpack,
+    unpack_words,
 )
 from repro.hv.random import random_pool
 from repro.hv.similarity import hamming, nearest, nearest_batch, pairwise_hamming
@@ -53,7 +53,7 @@ def test_permute_roundtrip(dim, k, seed):
 @SETTINGS
 def test_pack_unpack_roundtrip(dim, count, seed):
     pool = random_pool(count, dim, rng=seed)
-    np.testing.assert_array_equal(unpack(pack(pool), dim), pool)
+    np.testing.assert_array_equal(unpack_words(pack_words(pool), dim), pool)
 
 
 @given(dims, seeds)
@@ -61,7 +61,7 @@ def test_pack_unpack_roundtrip(dim, count, seed):
 def test_hamming_matches_packed(dim, seed):
     pool = random_pool(2, dim, rng=seed)
     dense = float(hamming(pool[0], pool[1]))
-    packed = hamming_packed(pack(pool[0]), pack(pool[1]), dim)
+    packed = hamming_packed(pack_words(pool[0]), pack_words(pool[1]), dim)
     assert packed == dense  # both are exact multiples of 1/dim
 
 
@@ -71,7 +71,7 @@ def test_hamming_stack_matches_packed(dim, count, seed):
     pool = random_pool(count + 1, dim, rng=seed)
     stack, target = pool[:-1], pool[-1]
     np.testing.assert_array_equal(
-        np.asarray(hamming_packed(pack(stack), pack(target), dim)),
+        np.asarray(hamming_packed(pack_words(stack), pack_words(target), dim)),
         np.asarray(hamming(stack, target)),
     )
 
@@ -81,7 +81,7 @@ def test_hamming_stack_matches_packed(dim, count, seed):
 def test_pairwise_packed_matches_dense(dim, ka, kb, seed, chunk):
     a = random_pool(ka, dim, rng=seed)
     b = random_pool(kb, dim, rng=seed + 1)
-    got = pairwise_hamming_packed(pack(a), pack(b), dim, chunk_size=chunk)
+    got = pairwise_hamming_packed(pack_words(a), pack_words(b), dim, chunk_size=chunk)
     want = np.array([[float(hamming(x, y)) for y in b] for x in a])
     np.testing.assert_array_equal(got, want)
 

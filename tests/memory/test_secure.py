@@ -28,6 +28,9 @@ class TestPublicMemory:
     def test_packed_footprint(self):
         public = PublicMemory(random_pool(10, 800, rng=5))
         assert public.nbytes_packed == 10 * 100
+        # One bit per element: 801 bits round up to 101 bytes per row.
+        odd = PublicMemory(random_pool(10, 801, rng=5))
+        assert odd.nbytes_packed == 10 * 101
 
     def test_requires_matrix(self):
         with pytest.raises(ValueError):
@@ -97,11 +100,3 @@ class TestSecureMemory:
         secure.store("weird", object())
         with pytest.raises(TypeError):
             secure.storage_bits()
-
-
-class TestPackedFootprintCaching:
-    def test_nbytes_packed_computed_once(self):
-        public = PublicMemory(random_pool(10, 800, rng=7))
-        first = public.nbytes_packed
-        assert public.nbytes_packed is first  # cached int, not recomputed
-        assert first == 10 * 100
