@@ -33,7 +33,7 @@ def _attack(n: int, dim: int) -> tuple[int, float]:
     encoder = RecordEncoder.random(n, M, dim, rng=n)
     surface, _ = expose_model(encoder, binary=True, rng=n + 1)
     with Timer() as t:
-        result = run_reasoning_attack(surface, rng=n + 2)
+        result = run_reasoning_attack(surface)
     return result.total_guesses, t.elapsed
 
 
@@ -76,7 +76,7 @@ def test_guess_budget_matches_formula(benchmark, bench_scale):
     def run():
         encoder = RecordEncoder.random(128, M, bench_scale.dim, rng=0)
         surface, _ = expose_model(encoder, binary=True, rng=1)
-        return run_reasoning_attack(surface, rng=2)
+        return run_reasoning_attack(surface)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.total_guesses == 128 * 129 // 2

@@ -50,8 +50,7 @@ def test_permute_throughput(benchmark, pair):
 
 def test_sign_with_ties(benchmark, pool):
     accum = bundle(pool)
-    gen = np.random.default_rng(1)
-    benchmark(sign, accum, gen)
+    benchmark(sign, accum)
 
 
 def test_hamming_pool_vs_vector(benchmark, pool):
@@ -86,10 +85,9 @@ def test_nearest_batch_pool(benchmark, pool):
 
 def test_pack_signs_fused(benchmark, pool):
     """Fused binarize + word-pack of an accumulator batch (the last
-    stage of the packed encoding path), including tie draws."""
+    stage of the packed encoding path), ties included."""
     accums = pool[:64].astype(np.int64) + pool[64:128].astype(np.int64)
-    gen = np.random.default_rng(5)
-    result = benchmark(pack_signs, accums, gen)
+    result = benchmark(pack_signs, accums)
     if result is not None:
         assert result.dtype == np.uint64
 

@@ -40,7 +40,6 @@ def main() -> None:
         n_classes=dataset.n_classes,
         binary=True,
         retrain_epochs=2,
-        rng=SEED,
     )
     baseline_accuracy = baseline.model.score(dataset.test_x, dataset.test_y)
     print(f"unprotected model accuracy: {baseline_accuracy:.3f}")

@@ -40,7 +40,6 @@ def main() -> None:
         n_classes=dataset.n_classes,
         binary=True,
         retrain_epochs=2,
-        rng=SEED,
     )
     accuracy = training.model.score(dataset.test_x, dataset.test_y)
     print(f"trained binary HDC model: test accuracy {accuracy:.3f}")
@@ -54,7 +53,7 @@ def main() -> None:
     )
 
     # 4. One attacker session later, the mapping is gone.
-    result = run_reasoning_attack(surface, rng=SEED + 2)
+    result = run_reasoning_attack(surface)
     verdict = verify_mapping(result, truth)
     print(
         f"reasoning attack: {result.total_queries} oracle queries, "

@@ -51,12 +51,12 @@ def make_language_samples(rng: np.random.Generator):
     return split(TRAIN), split(TEST)
 
 
-def train_and_score(encoder: NGramEncoder, train, test, rng) -> float:
+def train_and_score(encoder: NGramEncoder, train, test) -> float:
     (train_seqs, train_y), (test_seqs, test_y) = train, test
     accums = np.zeros((CLASSES, DIM), dtype=np.float64)
     for seq, label in zip(train_seqs, train_y, strict=True):
         accums[label] += encoder.encode(seq, binary=True)
-    classes = sign(accums, rng)
+    classes = sign(accums)
     correct = 0
     for seq, label in zip(test_seqs, test_y, strict=True):
         query = encoder.encode(seq, binary=True)
@@ -69,8 +69,8 @@ def main() -> None:
     rng = np.random.default_rng(SEED)
     train, test = make_language_samples(rng)
 
-    plain = NGramEncoder(random_pool(ALPHABET, DIM, rng=SEED), n=N_GRAM, rng=1)
-    plain_accuracy = train_and_score(plain, train, test, np.random.default_rng(2))
+    plain = NGramEncoder(random_pool(ALPHABET, DIM, rng=SEED), n=N_GRAM)
+    plain_accuracy = train_and_score(plain, train, test)
     print(
         f"plain n-gram model ({N_GRAM}-grams over {ALPHABET} symbols): "
         f"accuracy {plain_accuracy:.2f}"
@@ -79,10 +79,8 @@ def main() -> None:
     # Locked variant: alphabet item memory derived from pool + key.
     pool = random_pool(ALPHABET, DIM, rng=SEED + 1)
     key = generate_key(ALPHABET, layers=2, pool_size=ALPHABET, dim=DIM, rng=3)
-    locked = NGramEncoder(n=N_GRAM, base_pool=pool, key=key, rng=4)
-    locked_accuracy = train_and_score(
-        locked, train, test, np.random.default_rng(5)
-    )
+    locked = NGramEncoder(n=N_GRAM, base_pool=pool, key=key)
+    locked_accuracy = train_and_score(locked, train, test)
     print(
         f"HDLock n-gram model (L=2 key, {key.storage_bits()} key bits): "
         f"accuracy {locked_accuracy:.2f}"

@@ -39,7 +39,6 @@ def main() -> None:
         n_classes=dataset.n_classes,
         binary=True,
         retrain_epochs=2,
-        rng=SEED,
     )
     original = training.model.score(dataset.test_x, dataset.test_y)
     print(f"victim model: MNIST shape, accuracy {original:.3f}")
@@ -53,7 +52,7 @@ def main() -> None:
         f"{i} and {j} are mutually orthogonal, all others lie between"
     )
     with Timer() as t_value:
-        value = extract_value_mapping(surface, rng=SEED + 2)
+        value = extract_value_mapping(surface)
     chosen, rejected = value.extreme_distances
     print(
         f"  one all-minimum query factors ValHV_1 out (Eq. 5-6): "
@@ -95,9 +94,7 @@ def main() -> None:
     )
 
     # --- The theft, quantified (Table 1) -------------------------------
-    report, _ = evaluate_theft(
-        original, surface, result, dataset, binary=True, rng=SEED + 3
-    )
+    report, _ = evaluate_theft(original, surface, result, dataset, binary=True)
     print(
         f"\nreconstructed model accuracy {report.recovered_accuracy:.3f} vs "
         f"original {report.original_accuracy:.3f} — the IP is fully stolen"

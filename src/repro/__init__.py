@@ -20,13 +20,13 @@ Every encoder (:class:`~repro.encoding.base.Encoder`) exposes the same
 five entry points — ``encode``, ``encode_nonbinary``, ``encode_packed``,
 ``encode_batch(samples, binary=True)`` and ``encode_batch_packed`` — and
 supplies only its input checks and its accumulation; the shape check,
-the randomized sign(0) tie-break stream, Eq. 3 binarization and
-word-packing live once in the base, and a single sample is a batch of
-one. The record family runs on
+Eq. 3 binarization (sign(0) ties take one fixed vector, so every
+entry point is a pure function per row) and word-packing live once in
+the base, and a single sample is a batch of one. The record family runs on
 the vectorized engine of :mod:`repro.encoding.engine`: a level-major
 BLAS decomposition compiled once per encoder
 (:class:`~repro.encoding.engine.EncodingPlan`) that is bit-exact with
-per-sample encoding — tie stream included — while running an order of
+per-sample encoding, ties included, while running an order of
 magnitude faster at paper scale. Batches stream through tiles sized so
 the engine's float working set stays under
 :data:`~repro.encoding.engine.DEFAULT_MEMORY_BUDGET` (128 MiB). The
@@ -58,7 +58,7 @@ inference inherits the same path, and attack pool scoring
 :mod:`repro.attack.hdlock_attack`) scores candidates with word-packed
 tables — zero pack/unpack round-trips between encoding and decision,
 pinned by ``tests/encoding/test_packed_path.py``. Everything is
-bit-exact with the dense path, tie stream included: packed outputs
+bit-exact with the dense path, ties included: packed outputs
 equal ``pack_words(encode_batch(..., binary=True))`` word for word.
 
 Fleet key lifecycle
@@ -91,7 +91,7 @@ inference service — the deployment surface HDLock's threat model calls
 for, where the locked encoder is the public artifact and the key store
 stays privileged. ``provision_tenant`` persists the public bundle, the
 device key (appended to the tenant's mmap :class:`~repro.hdlock.KeyStore`),
-and the trained class-memory snapshot; ``load_tenant`` rebuilds a
+and the trained class accumulators; ``load_tenant`` rebuilds a
 bit-identical replica. A :class:`~repro.serving.ModelRegistry` serves
 many tenants behind one stdlib-only ASGI app
 (:func:`~repro.serving.create_app`: ``/healthz``, ``/v1/models``,

@@ -27,9 +27,9 @@ differential probing instead of relying on manual inspection:
     Conversion primitives live in ``repro.hv.packing`` and the
     bit-slice kernel only.
 
-``RL003`` **async-safety** — the micro-batcher's deterministic
-    arrival-order flush (``tests/serving`` batcher bit-parity tests)
-    runs on the event loop thread; any blocking call in an
+``RL003`` **async-safety** — the micro-batcher's flush
+    (``tests/serving`` batcher bit-parity tests) runs on the event
+    loop thread; any blocking call in an
     ``async def`` stalls every in-flight request and stretches the
     p95/p99 tails ``BENCH_serving.json`` trends.
 

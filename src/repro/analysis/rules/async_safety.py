@@ -1,9 +1,9 @@
 """RL003 — nothing blocks the event loop that serving correctness rides on.
 
-The micro-batcher's determinism contract (bit-parity with per-request
-serving, pinned by ``tests/serving/test_batcher.py``) holds because
-batch flushes run *synchronously on the loop thread* in arrival order.
-That design makes the loop latency-critical: one blocking call inside
+The micro-batcher runs its batch flushes *synchronously on the loop
+thread* (bit-parity with per-request serving is pinned by
+``tests/serving/test_batcher.py``). That design makes the loop
+latency-critical: one blocking call inside
 any ``async def`` — a ``time.sleep`` instead of ``asyncio.sleep``, a
 synchronous ``open``/``subprocess``/socket call, an mmap flush — stalls
 every in-flight request and widens the batching window from

@@ -11,7 +11,7 @@ Four strategies spanning the threat-model spectrum:
   (and far fewer candidate evaluations on undefended ``L = 1`` cells);
 * :class:`DifferentialProber` — an HDXplore-style blackbox differential
   strategy: random probe *pairs* differing in one feature, per-coordinate
-  majority voting across pairs to denoise tie-breaks and privacy
+  majority voting across pairs to see through binarization and privacy
   transforms, then candidate scoring against the voted estimate. Its
   probes look like ordinary traffic (no all-min/all-max structure), so it
   slips under the query monitor that locks out the crafted-pair attacks;
@@ -193,7 +193,7 @@ class DifferentialProber:
     which coordinates show a flip). Each pair therefore casts a ±1 vote
     per flipped coordinate; candidates are scored by the vote-magnitude
     weighted correlation against the tally, so a coordinate flipped by
-    many probes outweighs one-off tie-break noise. That denoising is
+    many probes outweighs a one-off flip. That voting is
     what the one-shot crafted-pair criterion lacks — and unlike the
     crafted Eq. 11 pair, the probes are uniform random inputs,
     indistinguishable from benign traffic to a concentration-based
@@ -354,7 +354,7 @@ class PlainReasoningAdapter:
     ) -> AttackOutcome:
         plain = as_attack_surface(surface)
         try:
-            result = run_reasoning_attack(plain, rng)
+            result = run_reasoning_attack(plain)
         except OracleLockoutError:
             return AttackOutcome(
                 attacker=self.name,

@@ -16,10 +16,10 @@ Building a defense is split in two on purpose:
   function would create;
 * :func:`deploy_defender` is the cheap, per-cell part: a **fresh** oracle
   (query counter at zero) and a fresh monitor. Cells must never share a
-  live oracle or encoder — the tie-break RNG advances as queries are
+  live oracle — its query counter and monitor advance as queries are
   served, so a shared instance would make cell results depend on
-  execution order. The experiment layer rebuilds/unpickles the system
-  per cell for the same reason.
+  execution order. The encoder itself is a pure function, so the
+  system can be shared.
 """
 
 from __future__ import annotations
@@ -97,12 +97,12 @@ class DefenderSpec:
     ) -> LockedSystem:
         """Generate pool, key and encoder for this configuration.
 
-        Deterministic in ``seed``; the four child streams are spawned in
+        Deterministic in ``seed``; the three child streams are spawned in
         the same order as :func:`repro.hdlock.lock.create_locked_encoder`
-        (pool, level memory, key, tie-breaks), so ``plain`` specs build
+        (pool, level memory, key), so ``plain`` specs build
         bit-identical systems to that function at equal parameters.
         """
-        pool_rng, level_rng, key_rng, tie_rng = spawn_rngs(seed, 4)
+        pool_rng, level_rng, key_rng = spawn_rngs(seed, 3)
         pool = random_pool(self.pool_size, dim, pool_rng)
         level_memory = LevelMemory.random(levels, dim, level_rng)
         key = generate_key(n_features, self.layers, self.pool_size, dim, key_rng)
@@ -111,7 +111,6 @@ class DefenderSpec:
                 pool,
                 level_memory,
                 key,
-                rng=tie_rng,
                 quant_levels=self.quant_levels,
             )
         elif self.variant == "sparsified":
@@ -119,11 +118,10 @@ class DefenderSpec:
                 pool,
                 level_memory,
                 key,
-                rng=tie_rng,
                 keep_fraction=self.keep_fraction,
             )
         else:
-            encoder = LockedEncoder(pool, level_memory, key, rng=tie_rng)
+            encoder = LockedEncoder(pool, level_memory, key)
         secure = SecureMemory()
         secure.store("lock_key", key)
         return LockedSystem(

@@ -26,8 +26,8 @@ Two structural facts make the sweep cheap:
   models, one GEMM against the contribution table for non-binary ones.
 
 The ``N`` crafted inputs go to the oracle in blocks of
-:data:`QUERY_BLOCK_ROWS`, in feature order, so the query count and the
-oracle's tie-break stream match one query per feature. Divide and
+:data:`QUERY_BLOCK_ROWS`, in feature order, so the query count matches
+one query per feature. Divide and
 conquer then runs over the score rows: each matched candidate leaves the
 pool, giving the paper's ``O(N^2)`` guess count (``N + (N-1) + ...``,
 reported as ``N * N`` worst case).
@@ -43,7 +43,6 @@ import numpy as np
 from repro.attack.threat_model import AttackSurface
 from repro.errors import AttackError
 from repro.hv.packing import pack_words, pairwise_hamming_packed
-from repro.utils.rng import SeedLike
 
 
 @dataclass(frozen=True)
@@ -200,7 +199,6 @@ class CandidateTable:
 def extract_feature_mapping(
     surface: AttackSurface,
     level_order: np.ndarray,
-    rng: SeedLike = None,
 ) -> FeatureExtractionResult:
     """Run the divide-and-conquer sweep for every feature index.
 
@@ -218,7 +216,6 @@ def extract_feature_mapping(
     propagates, and ``oracle.n_queries`` counts only the blocks served
     before it.
     """
-    del rng  # reserved for future randomized scoring variants
     n = surface.n_features
     order = np.asarray(level_order)
     table = CandidateTable(

@@ -71,7 +71,7 @@ def observe_difference(
     difference = response_min - response_max
     # The informative coordinates must also lie where ValHV_1 and
     # ValHV_M disagree — elsewhere the Eq. 11 first terms are equal and
-    # any observed difference is pure sign(0) tie-break noise from the
+    # any observed difference is pure sign(0) tie bits from the
     # binary oracle. The attacker knows the value mapping (strong model),
     # so filtering is free and sharpens the criterion.
     value_support = (

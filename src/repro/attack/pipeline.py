@@ -18,7 +18,6 @@ from repro.attack.feature_extraction import (
 )
 from repro.attack.threat_model import AttackSurface, GroundTruth
 from repro.attack.value_extraction import ValueExtractionResult, extract_value_mapping
-from repro.utils.rng import SeedLike
 from repro.utils.timer import Timer
 
 
@@ -47,14 +46,12 @@ class ReasoningResult:
         return self.feature.guesses
 
 
-def run_reasoning_attack(
-    surface: AttackSurface, rng: SeedLike = None
-) -> ReasoningResult:
+def run_reasoning_attack(surface: AttackSurface) -> ReasoningResult:
     """Execute both extraction steps against ``surface`` and time them."""
     with Timer() as value_timer:
-        value = extract_value_mapping(surface, rng)
+        value = extract_value_mapping(surface)
     with Timer() as feature_timer:
-        feature = extract_feature_mapping(surface, value.level_order, rng)
+        feature = extract_feature_mapping(surface, value.level_order)
     return ReasoningResult(
         value=value,
         feature=feature,

@@ -18,18 +18,17 @@ from repro.data.synthetic import Dataset
 from repro.encoding.record import RecordEncoder
 from repro.memory.item_memory import FeatureMemory, LevelMemory
 from repro.model.train import TrainingResult, train_model
-from repro.utils.rng import SeedLike
 
 
 def reconstruct_encoder(
-    surface: AttackSurface, result: ReasoningResult, rng: SeedLike = None
+    surface: AttackSurface, result: ReasoningResult
 ) -> RecordEncoder:
     """Build the attacker's clone of the victim encoding module."""
     feature_memory = FeatureMemory(
         surface.feature_pool[result.feature.assignment].copy()
     )
     level_memory = LevelMemory(surface.value_pool[result.value.level_order].copy())
-    return RecordEncoder(feature_memory, level_memory, rng=rng)
+    return RecordEncoder(feature_memory, level_memory)
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,6 @@ def evaluate_theft(
     dataset: Dataset,
     binary: bool,
     retrain_epochs: int = 3,
-    rng: SeedLike = None,
 ) -> tuple[TheftReport, TrainingResult]:
     """Train a model through the cloned encoder and compare accuracies.
 
@@ -60,7 +58,7 @@ def evaluate_theft(
     training data, so the question is purely whether the stolen encoding
     module supports the same model quality as the original.
     """
-    clone = reconstruct_encoder(surface, result, rng=rng)
+    clone = reconstruct_encoder(surface, result)
     training = train_model(
         clone,
         dataset.train_x,
@@ -68,7 +66,6 @@ def evaluate_theft(
         n_classes=dataset.n_classes,
         binary=binary,
         retrain_epochs=retrain_epochs,
-        rng=rng,
     )
     recovered = training.model.score(dataset.test_x, dataset.test_y)
     return (

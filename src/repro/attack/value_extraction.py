@@ -15,10 +15,13 @@ orthogonal. The attack:
 3. whichever extreme is closer to the estimate is level 1; the remaining
    levels sort by distance from it.
 
-The only noise source is the encoder's randomized ``sign(0)``: for ``N``
-features, a fraction ``~sqrt(2 / (pi N))`` of dimensions tie, half of
-which flip the estimate. That keeps the correct extreme at distance a
-few percent while the wrong one stays near 0.5 — an unambiguous margin.
+The only error source is ``sign(0)``: for even ``N``, a fraction
+``~sqrt(2 / (pi N))`` of dimensions tie in the response and take the
+fixed tie bit of :func:`repro.hv.ops.tie_bits`, which disagrees with
+the true product about half the time. That keeps the correct extreme at
+distance a few percent while the wrong one stays near 0.5 — an
+unambiguous margin. The estimate is deterministic: repeating the query
+returns the same bits, so it cannot average the ties away.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from repro.errors import AttackError
 from repro.hv.ops import bind, sign
 from repro.hv.packing import hamming_packed, pack_words
 from repro.hv.similarity import hamming, is_bipolar, pairwise_hamming
-from repro.utils.rng import SeedLike, resolve_rng
 
 
 @dataclass(frozen=True)
@@ -64,26 +66,21 @@ def find_extreme_pair(value_pool: np.ndarray) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-def estimate_min_value_hv(surface: AttackSurface, rng: SeedLike = None) -> np.ndarray:
+def estimate_min_value_hv(surface: AttackSurface) -> np.ndarray:
     """Estimate ``ValHV_1`` from one all-minimum oracle query (Eq. 5-6)."""
-    gen = resolve_rng(rng)
     all_min = np.zeros(surface.n_features, dtype=np.int64)
     response = surface.oracle.query(all_min)
     if not surface.binary:
-        response = sign(response, gen)
+        response = sign(response)
     # sum over the *published pool* == sum over the true features: the
     # mapping permutes terms of a commutative sum (the paper's key
     # observation enabling Eq. 6 without mapping knowledge).
-    feature_sum_sign = sign(
-        surface.feature_pool.sum(axis=0, dtype=np.int64), gen
-    )
+    feature_sum_sign = sign(surface.feature_pool.sum(axis=0, dtype=np.int64))
     return bind(response, feature_sum_sign)
 
 
 def extract_value_mapping(
-    surface: AttackSurface,
-    rng: SeedLike = None,
-    min_margin: float = 0.1,
+    surface: AttackSurface, min_margin: float = 0.1
 ) -> ValueExtractionResult:
     """Run the full value-extraction step against ``surface``.
 
@@ -93,7 +90,7 @@ def extract_value_mapping(
     :class:`AttackError` instead of silently returning a guess.
     """
     first, second = find_extreme_pair(surface.value_pool)
-    estimate = estimate_min_value_hv(surface, rng)
+    estimate = estimate_min_value_hv(surface)
     d_first = float(hamming(surface.value_pool[first], estimate))
     d_second = float(hamming(surface.value_pool[second], estimate))
     if abs(d_first - d_second) < min_margin:

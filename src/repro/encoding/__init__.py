@@ -1,8 +1,8 @@
 """Encoding modules: plain record, HDLock-locked, n-gram, and the oracle.
 
 Every encoder subclasses :class:`~repro.encoding.base.Encoder`, which
-owns the shape check, Eq. 3 binarization with its sign(0) tie stream,
-and packing; encoders supply only their input checks and accumulation.
+owns the shape check, Eq. 3 binarization with its fixed sign(0) tie
+vector, and packing; encoders supply only their input checks and accumulation.
 The record family runs on the vectorized batch engine of
 :mod:`repro.encoding.engine`; see
 :class:`~repro.encoding.engine.EncodingPlan` for the chunking model.

@@ -10,12 +10,14 @@ hypervector in two stages, the shape of a hardware encoder pipeline::
 Subclasses supply only the first stage (:meth:`Encoder._accumulate`,
 over a validated ``(B, W)`` batch) and their input checks
 (:meth:`Encoder._validate`). This class owns everything else, once:
-the ``ndim`` check, the sign(0) tie-break stream, Eq. 3 binarization and
-word-packing. A single-sample call is a batch of one through the same
-code, so single, batch and packed entry points draw the tie stream
-identically. ``encode_batch_packed`` is the binary hot path, returning
-uint64 bit-planes so downstream Hamming consumers (classifier inference,
-attack scoring) never unpack; the record family fuses it into the
+the ``ndim`` check, Eq. 3 binarization and word-packing. Eq. 3 breaks
+sign(0) ties with the fixed vector :func:`repro.hv.ops.tie_bits`, so
+an encoder keeps no tie state and every entry point is a pure
+function per row: a sample encodes to the same bits alone, inside any
+batch, in any chunking, and on any replica. ``encode_batch_packed`` is
+the binary hot path, returning uint64 bit-planes so downstream Hamming
+consumers (classifier inference, attack scoring) never unpack; the
+record family fuses it into the
 engine's chunk loop (:meth:`repro.encoding.engine.EncodingPlan.accumulate_packed`).
 
 Samples are validated to be in range; quantization of raw real-valued
@@ -31,7 +33,6 @@ import numpy as np
 from repro.encoding.engine import binarize_batch
 from repro.errors import DimensionMismatchError
 from repro.hv.packing import pack_signs
-from repro.utils.rng import SeedLike, resolve_rng
 
 
 class Encoder(abc.ABC):
@@ -41,10 +42,6 @@ class Encoder(abc.ABC):
     record family also overrides :meth:`_accumulate_packed` with its
     fused kernel.
     """
-
-    def __init__(self, rng: SeedLike = None) -> None:
-        #: Generator used exclusively for sign(0) tie-breaking (Eq. 3).
-        self._tie_rng = resolve_rng(rng)
 
     @property
     @abc.abstractmethod
@@ -61,7 +58,7 @@ class Encoder(abc.ABC):
 
     def _accumulate_packed(self, batch: np.ndarray) -> np.ndarray:
         """Binarized, word-packed accumulations of a validated batch."""
-        return pack_signs(self._accumulate(batch), self._tie_rng)
+        return pack_signs(self._accumulate(batch))
 
     def _checked(self, samples: np.ndarray, ndim: int) -> np.ndarray:
         """``samples`` as a validated ``(B, W)`` batch (one row if 1-D)."""
@@ -78,10 +75,10 @@ class Encoder(abc.ABC):
         accums = self._accumulate(batch)
         if not binary:
             return accums
-        return binarize_batch(accums, self._tie_rng)
+        return binarize_batch(accums)
 
     def encode(self, sample: np.ndarray, binary: bool = True) -> np.ndarray:
-        """Encode one sample; binarize with random tie-break if ``binary``."""
+        """Encode one sample; binarize (Eq. 3) if ``binary``."""
         return self._encode(self._checked(sample, 1), binary)[0]
 
     def encode_nonbinary(self, sample: np.ndarray) -> np.ndarray:
@@ -91,8 +88,7 @@ class Encoder(abc.ABC):
     def encode_batch(self, samples: np.ndarray, binary: bool = True) -> np.ndarray:
         """Encode a ``(B, W)`` batch into a ``(B, D)`` matrix.
 
-        Bit-identical to encoding the samples one at a time — including
-        the order of randomized sign(0) tie-breaks.
+        Row ``b`` is bit-identical to ``encode(samples[b], binary)``.
         """
         return self._encode(self._checked(samples, 2), binary)
 
@@ -100,10 +96,9 @@ class Encoder(abc.ABC):
         """Encode a ``(B, W)`` batch straight into packed bit-planes.
 
         Returns ``(B, ceil(D/64))`` uint64 rows, bit-identical to
-        ``pack_words(self.encode_batch(samples, binary=True))`` —
-        including the sign(0) tie-break stream, which advances exactly
-        as the dense call would — without the dense sign matrix. Feed
-        the result to :func:`repro.hv.packing.hamming_packed` /
+        ``pack_words(self.encode_batch(samples, binary=True))`` without
+        the dense sign matrix. Feed the result to
+        :func:`repro.hv.packing.hamming_packed` /
         :func:`~repro.hv.packing.pairwise_hamming_packed` (or any
         word-packed consumer) directly.
         """

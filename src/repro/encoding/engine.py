@@ -40,8 +40,8 @@ Beyond the integer batch API, the plan owns a **fused packed path**
 (:meth:`EncodingPlan.accumulate_packed`): base-init, scatter-add, and
 binarize collapse into a minimal number of ``D``-passes — the base term
 broadcasts into a preallocated float accumulator reused across chunks,
-contributions add in place, and the signs (with the row-ordered sign(0)
-tie stream) write directly into packed uint64 bit-planes via
+contributions add in place, and the signs (with the fixed sign(0) tie
+vector) write directly into packed uint64 bit-planes via
 :func:`repro.hv.packing.pack_signs`. No ``(B, D)`` int64 cast, no int8
 sign matrix, and no downstream re-pack ever materialize, which roughly
 halves the D-bound per-row overhead of binary encoding at paper scale.
@@ -59,9 +59,11 @@ whose accumulation bound overflows a float64 mantissa.
 :func:`encode_batch_reference` preserves the original per-sample loop as
 an executable specification; the differential tests in
 ``tests/encoding/test_batch_parity.py`` assert bit-exact equality
-(including the randomized sign(0) tie-break stream) between it and every
-plan mode, and the golden-seed hashes in ``tests/integration`` pin the
-numerics against future rewrites.
+(sign(0) ties included) between it and every plan mode, and the
+golden-seed hashes in ``tests/integration`` pin the numerics against
+future rewrites. Eq. 3 is a pure function of each accumulation row
+(:func:`repro.hv.ops.sign_bits`), so chunks are independent: any
+``chunk_size`` and any row order give the same bits per row.
 """
 
 from __future__ import annotations
@@ -70,15 +72,13 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hv.bitslice import bitsliced_accumulate
-from repro.hv.ops import ACCUM_DTYPE, BIPOLAR_DTYPE
+from repro.hv.ops import ACCUM_DTYPE, BIPOLAR_DTYPE, sign
 from repro.hv.packing import (
     PACKED_WORD_DTYPE,
     pack_signs,
     pack_words,
     packed_word_width,
-    sign_bits,
 )
-from repro.utils.rng import SeedLike, resolve_rng
 
 #: Default cap on the engine's per-chunk float working set (bytes).
 #: 128 MiB keeps a D = 10,000 encode in ~1,500-row chunks — large enough
@@ -353,10 +353,7 @@ class EncodingPlan:
         return out
 
     def accumulate_packed(
-        self,
-        samples: np.ndarray,
-        rng: SeedLike = None,
-        chunk_size: int | None = None,
+        self, samples: np.ndarray, chunk_size: int | None = None
     ) -> np.ndarray:
         """Encode a validated ``(B, N)`` batch straight to packed bits.
 
@@ -364,22 +361,19 @@ class EncodingPlan:
         through one per-call scratch buffer and binarize *in place* into
         the returned ``(B, ceil(D/64))`` uint64 bit-planes — no int64
         batch, no int8 sign matrix, no separate pack pass. Bit-exact
-        with ``pack_words(binarize_batch(accumulate(samples), rng))``
-        including the row-ordered sign(0) tie stream, which the parity
-        tests pin.
+        with ``pack_words(binarize_batch(accumulate(samples)))``, which
+        the parity tests pin.
         """
         n_rows = int(samples.shape[0])
         out = np.zeros((n_rows, packed_word_width(self.dim)), dtype=PACKED_WORD_DTYPE)
         if n_rows == 0:
             return out
-        gen = resolve_rng(rng)
         chunk = resolve_chunk_size(self._row_bytes, n_rows, chunk_size)
         scratch = self._call_scratch(chunk, n_rows)
         for start in range(0, n_rows, chunk):
             stop = min(start + chunk, n_rows)
             pack_signs(
                 self._accumulate_chunk(samples[start:stop], scratch),
-                gen,
                 out=out[start:stop],
             )
         if self._obs is not None:
@@ -387,17 +381,14 @@ class EncodingPlan:
         return out
 
 
-def binarize_batch(accums: np.ndarray, rng: SeedLike = None) -> np.ndarray:
-    """Row-wise Eq. 3 binarization, replaying the per-sample tie stream.
+def binarize_batch(accums: np.ndarray) -> np.ndarray:
+    """Eq. 3 binarization of a ``(B, D)`` accumulator batch to int8 signs.
 
-    Exactly equivalent to calling :func:`repro.hv.ops.sign` on each row
-    in order — the property the differential tests pin down. The tie
-    stream itself lives in one place,
-    :func:`repro.hv.packing.sign_bits`, shared with the fused packed
+    The encoders' dense binarize stage. The rule itself lives in one
+    place, :func:`repro.hv.ops.sign_bits`, shared with the fused packed
     path so the dense and packed flavors can never drift apart.
     """
-    bits = sign_bits(np.asarray(accums), rng)
-    return np.where(bits, 1, -1).astype(BIPOLAR_DTYPE)
+    return sign(accums)
 
 
 def encode_batch_reference(
@@ -405,7 +396,6 @@ def encode_batch_reference(
     feature_matrix: np.ndarray,
     samples: np.ndarray,
     binary: bool = True,
-    rng: SeedLike = None,
 ) -> np.ndarray:
     """The original per-sample encode loop, kept as an executable spec.
 
@@ -415,12 +405,9 @@ def encode_batch_reference(
     run this against :class:`EncodingPlan`; it is never used on a hot
     path.
     """
-    from repro.hv.ops import sign
-
     lev = np.asarray(level_matrix)
     fea = np.asarray(feature_matrix)
     arr = np.asarray(samples)
-    gen = resolve_rng(rng)
     out = np.empty(
         (arr.shape[0], lev.shape[1]), dtype=BIPOLAR_DTYPE if binary else ACCUM_DTYPE
     )
@@ -431,5 +418,5 @@ def encode_batch_reference(
             fea.astype(np.int32, copy=False),
             dtype=ACCUM_DTYPE,
         )
-        out[b] = sign(accum, gen) if binary else accum
+        out[b] = sign(accum) if binary else accum
     return out

@@ -29,7 +29,6 @@ class LockedEncoder(RecordEncoder):
         base_pool: np.ndarray,
         level_memory: LevelMemory,
         key: LockKey,
-        rng: SeedLike = None,
     ) -> None:
         pool = np.asarray(base_pool)
         if pool.ndim != 2 or pool.shape[1] != level_memory.dim:
@@ -43,7 +42,7 @@ class LockedEncoder(RecordEncoder):
         from repro.hdlock.feature_factory import derive_feature_matrix
 
         derived = FeatureMemory(derive_feature_matrix(pool, key))
-        super().__init__(derived, level_memory, rng)
+        super().__init__(derived, level_memory)
         self.base_pool = pool
         self.key = key
 
@@ -62,17 +61,17 @@ class LockedEncoder(RecordEncoder):
 
         ``pool_size`` defaults to ``n_features`` — the paper's evaluation
         setting (``P = N``), under which the base pool is exactly as
-        large as an unprotected feature memory. One seed drives four
-        independent streams (pool, level memory, key, tie-breaking).
+        large as an unprotected feature memory. One seed drives three
+        independent streams (pool, level memory, key).
         """
         from repro.hdlock.keygen import generate_key
 
         p = n_features if pool_size is None else pool_size
-        pool_rng, level_rng, key_rng, tie_rng = spawn_rngs(rng, 4)
+        pool_rng, level_rng, key_rng = spawn_rngs(rng, 3)
         pool = random_pool(p, dim, pool_rng)
         level_memory = LevelMemory.random(levels, dim, level_rng)
         key = generate_key(n_features, layers, p, dim, key_rng)
-        return cls(pool, level_memory, key, rng=tie_rng)
+        return cls(pool, level_memory, key)
 
     @property
     def layers(self) -> int:
@@ -84,11 +83,11 @@ class LockedEncoder(RecordEncoder):
         """Base pool size ``P``."""
         return self.key.pool_size
 
-    def rekey(self, key: LockKey, rng: SeedLike = None) -> "LockedEncoder":
+    def rekey(self, key: LockKey) -> "LockedEncoder":
         """Return a new encoder over the same pool with a different key.
 
         Re-keying invalidates any trained class hypervectors (they were
         accumulated under the old feature HVs); callers are expected to
         retrain, see :func:`repro.hdlock.lock.lock_model`.
         """
-        return LockedEncoder(self.base_pool, self.level_memory, key, rng)
+        return LockedEncoder(self.base_pool, self.level_memory, key)

@@ -22,7 +22,6 @@ from repro.encoding.engine import resolve_chunk_size
 from repro.errors import ConfigurationError, DimensionMismatchError
 from repro.hv.ops import ACCUM_DTYPE, BIPOLAR_DTYPE, permute
 from repro.memory.key import LockKey
-from repro.utils.rng import SeedLike
 
 
 class NGramEncoder(Encoder):
@@ -38,7 +37,6 @@ class NGramEncoder(Encoder):
         self,
         item_memory: np.ndarray | None = None,
         n: int = 3,
-        rng: SeedLike = None,
         base_pool: np.ndarray | None = None,
         key: LockKey | None = None,
     ) -> None:
@@ -60,7 +58,6 @@ class NGramEncoder(Encoder):
             raise DimensionMismatchError(
                 f"item memory must be (A, D), got {self._items.shape}"
             )
-        super().__init__(rng)
         self.n = n
         self.locked = key is not None
         # Position-rotated copies of the item matrix, built on first

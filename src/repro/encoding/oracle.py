@@ -71,7 +71,7 @@ class EncodingOracle:
         binary output format (a real device's memory holds exactly these
         words), so a non-binary oracle has nothing packed to expose.
         Counted per sample like :meth:`query_batch`; bit-identical to
-        word-packing the dense responses, including tie-breaks.
+        word-packing the dense responses, ties included.
         """
         if not self.binary:
             raise ConfigurationError(

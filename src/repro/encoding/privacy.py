@@ -6,12 +6,17 @@ the encoding before it leaves the device both shrinks the payload and
 disturbs exactly the fine-grained structure an inference adversary
 exploits. Here that idea becomes a defender axis for the attack arena:
 the subclasses below post-process the Eq. 2 accumulation ``H_nb``
-*before* binarization, so every zeroed coordinate binarizes through the
-randomized ``sign(0)`` tie-break — pure per-query noise from the
-attacker's point of view, which degrades the Eq. 11 difference criterion
-without touching the key, the pool, or trained class hypervectors'
-compatibility (the transform is applied consistently at train and
-serve time since it lives in the encoder).
+*before* binarization, so every zeroed coordinate binarizes to the fixed
+``sign(0)`` tie bit of :func:`repro.hv.ops.tie_bits`. That hides the
+coordinate's magnitude from a single response, but it is not noise: the
+encoder is a pure function, so the same query always gets the same
+answer, and an attacker that differences two crafted queries sees the
+tie bits cancel. At ``L = 1`` the arena's exhaustive attacker recovers
+every feature through either transform, so they add nothing to the
+key-space bound that protects ``L >= 2``. The transforms leave the
+key, the pool, and trained class hypervectors' compatibility untouched
+(the transform is applied consistently at train and serve time since it
+lives in the encoder).
 
 Both transforms are scale-free for every downstream consumer in this
 repo: binary outputs only keep the sign, and the non-binary cosine
@@ -31,7 +36,6 @@ from repro.encoding.locked import LockedEncoder
 from repro.errors import ConfigurationError
 from repro.memory.item_memory import LevelMemory
 from repro.memory.key import LockKey
-from repro.utils.rng import SeedLike
 
 __all__ = [
     "QuantizedLockedEncoder",
@@ -72,8 +76,8 @@ class QuantizedLockedEncoder(TransmissionLockedEncoder):
     ``quant_levels`` symmetric integer levels spanning
     ``±clip_sigmas * sqrt(N)``. With the default 3 levels everything
     inside ±1.5σ collapses to 0 — the majority of coordinates — and each
-    of those binarizes through a fresh ``sign(0)`` tie-break, burying
-    the attacker's difference criterion in per-query noise.
+    of those binarizes to its fixed ``sign(0)`` tie bit, so one
+    response carries only the coarse buckets' signs.
     """
 
     def __init__(
@@ -81,7 +85,6 @@ class QuantizedLockedEncoder(TransmissionLockedEncoder):
         base_pool: np.ndarray,
         level_memory: LevelMemory,
         key: LockKey,
-        rng: SeedLike = None,
         quant_levels: int = 3,
         clip_sigmas: float = 3.0,
     ) -> None:
@@ -94,7 +97,7 @@ class QuantizedLockedEncoder(TransmissionLockedEncoder):
             raise ConfigurationError(
                 f"clip_sigmas must be positive, got {clip_sigmas}"
             )
-        super().__init__(base_pool, level_memory, key, rng)
+        super().__init__(base_pool, level_memory, key)
         self.quant_levels = int(quant_levels)
         self.clip_sigmas = float(clip_sigmas)
 
@@ -104,15 +107,12 @@ class QuantizedLockedEncoder(TransmissionLockedEncoder):
         buckets = np.rint(np.asarray(accums, dtype=np.float64) / step)
         return np.clip(buckets, -half, half).astype(np.int64)
 
-    def rekey(
-        self, key: LockKey, rng: SeedLike = None
-    ) -> "QuantizedLockedEncoder":
+    def rekey(self, key: LockKey) -> "QuantizedLockedEncoder":
         """Re-key, preserving the quantization parameters."""
         return QuantizedLockedEncoder(
             self.base_pool,
             self.level_memory,
             key,
-            rng,
             quant_levels=self.quant_levels,
             clip_sigmas=self.clip_sigmas,
         )
@@ -124,8 +124,8 @@ class SparsifiedLockedEncoder(TransmissionLockedEncoder):
     Per row, the ``keep_fraction`` largest-``|H|`` coordinates survive
     unchanged and the rest transmit as zero — Prive-HD's sparsification.
     The surviving coordinates are exactly the high-confidence ones, so
-    classification accuracy degrades gently while the attacker's support
-    fills with tie-break noise.
+    classification accuracy degrades gently while the rest of each
+    response reads the fixed tie bits.
     """
 
     def __init__(
@@ -133,14 +133,13 @@ class SparsifiedLockedEncoder(TransmissionLockedEncoder):
         base_pool: np.ndarray,
         level_memory: LevelMemory,
         key: LockKey,
-        rng: SeedLike = None,
         keep_fraction: float = 0.05,
     ) -> None:
         if not 0.0 < keep_fraction <= 1.0:
             raise ConfigurationError(
                 f"keep_fraction must be in (0, 1], got {keep_fraction}"
             )
-        super().__init__(base_pool, level_memory, key, rng)
+        super().__init__(base_pool, level_memory, key)
         self.keep_fraction = float(keep_fraction)
 
     def _transform_rows(self, accums: np.ndarray) -> np.ndarray:
@@ -156,14 +155,11 @@ class SparsifiedLockedEncoder(TransmissionLockedEncoder):
         np.put_along_axis(out, top, np.take_along_axis(rows, top, axis=1), axis=1)
         return out
 
-    def rekey(
-        self, key: LockKey, rng: SeedLike = None
-    ) -> "SparsifiedLockedEncoder":
+    def rekey(self, key: LockKey) -> "SparsifiedLockedEncoder":
         """Re-key, preserving the sparsification parameter."""
         return SparsifiedLockedEncoder(
             self.base_pool,
             self.level_memory,
             key,
-            rng,
             keep_fraction=self.keep_fraction,
         )

@@ -31,14 +31,12 @@ class RecordEncoder(Encoder):
         self,
         feature_memory: FeatureMemory,
         level_memory: LevelMemory,
-        rng: SeedLike = None,
     ) -> None:
         if feature_memory.dim != level_memory.dim:
             raise DimensionMismatchError(
                 f"feature memory D={feature_memory.dim} but level memory "
                 f"D={level_memory.dim}"
             )
-        super().__init__(rng)
         self.feature_memory = feature_memory
         self.level_memory = level_memory
         self._plan: EncodingPlan | None = None
@@ -53,14 +51,13 @@ class RecordEncoder(Encoder):
     ) -> "RecordEncoder":
         """Build an encoder with freshly generated memories.
 
-        One seed argument drives three independent streams (feature
-        memory, level memory, tie-breaking) so results are reproducible.
+        One seed argument drives two independent streams (feature
+        memory, level memory) so results are reproducible.
         """
-        feat_rng, level_rng, tie_rng = spawn_rngs(rng, 3)
+        feat_rng, level_rng = spawn_rngs(rng, 2)
         return cls(
             FeatureMemory.random(n_features, dim, feat_rng),
             LevelMemory.random(levels, dim, level_rng),
-            rng=tie_rng,
         )
 
     @property
@@ -120,4 +117,4 @@ class RecordEncoder(Encoder):
         return self.plan.accumulate(batch)
 
     def _accumulate_packed(self, batch: np.ndarray) -> np.ndarray:
-        return self.plan.accumulate_packed(batch, self._tie_rng)
+        return self.plan.accumulate_packed(batch)

@@ -166,7 +166,7 @@ def naive_attack_on_locked(
     plain_surface, _ = expose_model(
         plain_encoder, binary=True, rng=derive_seed(seed, "expose")
     )
-    value = extract_value_mapping(plain_surface, derive_seed(seed, "value"))
+    value = extract_value_mapping(plain_surface)
     plain_series = guess_distance_series(plain_surface, value.level_order)
 
     locked = create_locked_encoder(

@@ -17,10 +17,10 @@ Determinism contract (the PR-3 discipline):
 * the defender-system seed ignores the attacker, so all cells in a
   defender row deploy the bit-identical system (and the content cache
   builds it once);
-* each cell gets a *fresh* system object (unpickled from cache or
-  rebuilt) and a fresh oracle, because serving queries advances the
-  encoder's tie-break RNG — sharing a live instance would make results
-  depend on execution order.
+* each cell gets a fresh oracle, because serving queries advances its
+  query counter and monitor — sharing a live oracle would make results
+  depend on execution order. The encoder is a pure function, so its
+  system object needs no such care.
 
 The arena runs at a deliberately reduced shape (``N = 32``, capped
 ``D``): cells are adversarial interactions, not classification runs, and
@@ -196,9 +196,6 @@ def run_arena_cell(
         "arena-attacker", seed, attacker_name, defender_name, dim
     )
     with Timer() as timer:
-        # A cache hit unpickles a fresh copy and a miss builds one — in
-        # both paths this cell owns its system outright, tie-break RNG
-        # state included.
         system = cached(
             cache,
             ("arena-system", spec, ARENA_N_FEATURES, ARENA_LEVELS, dim,

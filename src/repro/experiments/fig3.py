@@ -82,7 +82,7 @@ def run_fig3(
     rng = resolve_rng(seed)
     encoder = RecordEncoder.random(spec.n_features, spec.levels, cfg.dim, rng)
     surface, truth = expose_model(encoder, binary=binary, rng=rng)
-    value = extract_value_mapping(surface, rng)
+    value = extract_value_mapping(surface)
     distances = guess_distance_series(
         surface, value.level_order, feature=0, full_dim=True
     )

@@ -100,7 +100,6 @@ def _train_cell(
         n_classes=dataset.n_classes,
         binary=binary,
         retrain_epochs=cfg.retrain_epochs,
-        rng=run_seed,
     )
     return training.model.score(dataset.test_x, dataset.test_y)
 

@@ -4,7 +4,7 @@ Two sweeps that quantify the operating envelope of the Sec. 3 attack:
 
 * :func:`recovery_vs_dim` — feature-mapping recovery rate as ``D``
   shrinks relative to ``N``. The binary attack's margin is the gap
-  between the sign-tie noise floor and the wrong-guess band; both are
+  between the sign-tie error floor and the wrong-guess band; both are
   set by binomial concentration, so recovery degrades once ``D`` stops
   dominating ``N``. This is the quantitative version of the reduced-
   scale caveat in EXPERIMENTS.md (binary FACE at 98.8 %).
@@ -55,7 +55,7 @@ def recovery_vs_dim(
         run_seed = derive_seed(seed, "recovery", dim)
         encoder = RecordEncoder.random(n_features, levels, dim, run_seed)
         surface, truth = expose_model(encoder, binary=binary, rng=run_seed)
-        result = run_reasoning_attack(surface, run_seed)
+        result = run_reasoning_attack(surface)
         verdict = verify_mapping(result, truth)
         finite = result.feature.margins[np.isfinite(result.feature.margins)]
         points.append(
@@ -97,7 +97,7 @@ def margin_vs_features(
         run_seed = derive_seed(seed, "margin", n)
         encoder = RecordEncoder.random(n, levels, dim, run_seed)
         surface, truth = expose_model(encoder, binary=True, rng=run_seed)
-        value = extract_value_mapping(surface, run_seed)
+        value = extract_value_mapping(surface)
         series = guess_distance_series(surface, value.level_order, feature=0)
         correct = truth.feature_assignment[0]
         wrong = np.delete(series, correct)

@@ -107,13 +107,12 @@ def run_table1(
                 n_classes=dataset.n_classes,
                 binary=binary,
                 retrain_epochs=cfg.retrain_epochs,
-                rng=rng,
             )
             original_accuracy = training.model.score(
                 dataset.test_x, dataset.test_y
             )
             surface, truth = expose_model(encoder, binary=binary, rng=rng)
-            result = run_reasoning_attack(surface, rng)
+            result = run_reasoning_attack(surface)
             verdict = verify_mapping(result, truth)
             theft, _ = evaluate_theft(
                 original_accuracy,
@@ -122,7 +121,6 @@ def run_table1(
                 dataset,
                 binary=binary,
                 retrain_epochs=cfg.retrain_epochs,
-                rng=rng,
             )
             rows.append(
                 Table1Row(

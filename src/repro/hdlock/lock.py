@@ -93,10 +93,10 @@ def lock_encoder(
     if layers < 1:
         raise ConfigurationError(f"layers must be >= 1, got {layers}")
     p = encoder.n_features if pool_size is None else pool_size
-    pool_rng, key_rng, tie_rng = spawn_rngs(rng, 3)
+    pool_rng, key_rng = spawn_rngs(rng, 2)
     pool = random_pool(p, encoder.dim, pool_rng)
     key = generate_key(encoder.n_features, layers, p, encoder.dim, key_rng)
-    locked = LockedEncoder(pool, encoder.level_memory, key, rng=tie_rng)
+    locked = LockedEncoder(pool, encoder.level_memory, key)
     secure = SecureMemory()
     secure.store("lock_key", key)
     return LockedSystem(
@@ -116,7 +116,7 @@ def rotate_system(system: LockedSystem, rng: SeedLike = None) -> LockedSystem:
     old feature HVs and must be retrained, exactly as after
     :meth:`~repro.encoding.locked.LockedEncoder.rekey`.
     """
-    key_rng, tie_rng = spawn_rngs(rng, 2)
+    (key_rng,) = spawn_rngs(rng, 1)
     key = generate_key(
         system.key.n_features,
         system.key.layers,
@@ -124,7 +124,7 @@ def rotate_system(system: LockedSystem, rng: SeedLike = None) -> LockedSystem:
         system.key.dim,
         key_rng,
     )
-    encoder = system.encoder.rekey(key, tie_rng)
+    encoder = system.encoder.rekey(key)
     secure = SecureMemory()
     secure.store("lock_key", key)
     return LockedSystem(
@@ -148,7 +148,7 @@ def lock_model(
     Returns the locked system plus the retrained model — the paper's
     Fig. 8 workflow (accuracy under HDLock at a given ``L``).
     """
-    lock_rng, train_rng = spawn_rngs(rng, 2)
+    (lock_rng,) = spawn_rngs(rng, 1)
     system = lock_encoder(encoder, layers, pool_size, lock_rng)
     training = train_model(
         system.encoder,
@@ -157,6 +157,5 @@ def lock_model(
         n_classes=n_classes,
         binary=binary,
         retrain_epochs=retrain_epochs,
-        rng=train_rng,
     )
     return system, training

@@ -44,7 +44,6 @@ from repro.hv.packing import (
 )
 from repro.memory.item_memory import LevelMemory
 from repro.memory.key import KeyBatch, LockKey
-from repro.utils.rng import SeedLike
 
 #: File names inside a bundle directory.
 POOL_FILE = "base_pool.npy"
@@ -270,9 +269,7 @@ def load_fleet_key(directory: str | Path, device_id: int) -> LockKey:
     return open_fleet_store(directory).key(device_id)
 
 
-def restore_encoder(
-    directory: str | Path, key: LockKey, rng: SeedLike = None
-) -> LockedEncoder:
+def restore_encoder(directory: str | Path, key: LockKey) -> LockedEncoder:
     """Rebuild the locked encoder from a bundle directory plus its key.
 
     The key is validated against the bundle's shape (a key for a
@@ -284,11 +281,9 @@ def restore_encoder(
             f"key (P<={key.pool_size}, D={key.dim}) does not fit bundle "
             f"(P={manifest.pool_size}, D={manifest.dim})"
         )
-    return LockedEncoder(pool, values, key, rng=rng)
+    return LockedEncoder(pool, values, key)
 
 
-def restore_device_encoder(
-    directory: str | Path, device_id: int, rng: SeedLike = None
-) -> LockedEncoder:
+def restore_device_encoder(directory: str | Path, device_id: int) -> LockedEncoder:
     """Rebuild one fleet device's locked encoder: bundle + store key."""
-    return restore_encoder(directory, load_fleet_key(directory, device_id), rng)
+    return restore_encoder(directory, load_fleet_key(directory, device_id))

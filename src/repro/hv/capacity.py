@@ -273,7 +273,7 @@ def empirical_capacity_curve(
     points = []
     for k in bundle_sizes:
         pool = random_pool(k + 1, dim, gen)
-        bundled = sign(bundle(pool[:k]), gen)
+        bundled = sign(bundle(pool[:k]))
         points.append(
             CapacityPoint(
                 bundle_size=k,

@@ -15,18 +15,22 @@ are:
   circular rotation: ``rho_k(HV) = {HV[k : D-1], HV[0 : k-1]}``, i.e. a
   left rotation by ``k`` positions.
 
-Binarization (Eq. 3) uses :func:`sign` where ties at exactly zero are
-assigned ``+1``/``-1`` uniformly at random, as the paper specifies.
+Binarization (Eq. 3) uses :func:`sign`. The paper assigns sign(0)
+"randomly to -1 or 1"; here a tie at coordinate ``d`` takes bit ``d`` of
+one fixed random vector, :func:`tie_bits`, as a hardware encoder would
+use a constant or an LFSR. So Eq. 3 is a pure function of the
+accumulation: the same input binarizes to the same bits in any batch,
+chunk or process.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import DimensionMismatchError, NotBipolarError
-from repro.utils.rng import SeedLike, resolve_rng
 
 #: Hypervector dimensionality used throughout the paper's experiments.
 DEFAULT_DIM = 10_000
@@ -36,6 +40,9 @@ BIPOLAR_DTYPE = np.int8
 
 #: dtype used for non-binary accumulations (bundles of up to ~2^31 HVs).
 ACCUM_DTYPE = np.int64
+
+#: Seed of the sign(0) tie vector of every dimension (:func:`tie_bits`).
+TIE_SEED = 0x71E5
 
 
 def as_bipolar(hv: np.ndarray) -> np.ndarray:
@@ -151,22 +158,48 @@ def permute_rows(hvs: np.ndarray, shifts: Sequence[int] | np.ndarray) -> np.ndar
     return windows[np.arange(windows.shape[0]), shift_arr % windows.shape[2]]
 
 
-def sign(accum: np.ndarray, rng: SeedLike = None) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def tie_bits(dim: int) -> np.ndarray:
+    """The read-only ``(dim,)`` bool vector that breaks Eq. 3's sign(0) ties.
+
+    Drawn once per ``dim`` from :data:`TIE_SEED`: each coordinate ties
+    to ``+1`` or ``-1`` with equal odds, and every encoder, class memory
+    and attacker of that dimension uses the same vector.
+    """
+    bits = np.random.default_rng(TIE_SEED).integers(0, 2, int(dim), dtype=bool)
+    bits.flags.writeable = False
+    return bits
+
+
+def sign_bits(accums: np.ndarray) -> np.ndarray:
+    """Eq. 3 as bits (``+1 -> True``) of accumulations of shape ``(..., D)``.
+
+    ``bit = acc > 0 | (acc == 0 & tie_bits(D))``: the one owner of the
+    binarization rule, shared by :func:`sign`, the encoders' dense
+    :func:`~repro.encoding.engine.binarize_batch` and the fused
+    :func:`~repro.hv.packing.pack_signs`.
+    """
+    arr = np.asarray(accums)
+    if arr.ndim == 0:
+        raise DimensionMismatchError("sign_bits needs at least one axis, got a scalar")
+    bits = arr > 0
+    ties = arr == 0
+    ties &= tie_bits(arr.shape[-1])
+    bits |= ties
+    return bits
+
+
+def sign(accum: np.ndarray) -> np.ndarray:
     """Binarize a non-binary accumulation into a bipolar HV (Eq. 3).
 
     Entries ``> 0`` map to ``+1``, entries ``< 0`` to ``-1``, and exact
-    zeros are assigned ``+1`` or ``-1`` uniformly at random (the paper:
-    "sign(0) is randomly assigned to -1 or 1"). Pass a seeded ``rng`` for
-    reproducible tie-breaking.
+    zeros take the fixed tie bit of their coordinate (:func:`sign_bits`).
     """
-    arr = np.asarray(accum)
-    out = np.where(arr > 0, 1, -1).astype(BIPOLAR_DTYPE)
-    zeros = arr == 0
-    n_zero = int(np.count_nonzero(zeros))
-    if n_zero:
-        gen = resolve_rng(rng)
-        out[zeros] = gen.choice(np.array([-1, 1], dtype=BIPOLAR_DTYPE), size=n_zero)
-    return out
+    # Map the fresh bool buffer to +-1 in place, as int8.
+    signs = sign_bits(accum).view(BIPOLAR_DTYPE)
+    signs *= 2
+    signs -= 1
+    return signs
 
 
 def invert(hv: np.ndarray) -> np.ndarray:

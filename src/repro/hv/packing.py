@@ -30,16 +30,13 @@ import functools
 import numpy as np
 
 from repro.errors import DimensionMismatchError
-from repro.hv.ops import BIPOLAR_DTYPE
-from repro.utils.rng import SeedLike, resolve_rng
+from repro.hv.ops import BIPOLAR_DTYPE, sign_bits
 
 #: dtype of the packed layout (uint64 bit-plane words).
 PACKED_WORD_DTYPE = np.uint64
 
 #: Bits per packed word.
 WORD_BITS = 64
-
-_PM_ONE = np.array([-1, 1], dtype=BIPOLAR_DTYPE)
 
 
 def packed_word_width(dim: int) -> int:
@@ -112,43 +109,11 @@ def unpack_words(packed: np.ndarray, dim: int) -> np.ndarray:
     return signs
 
 
-def sign_bits(accums: np.ndarray, rng: SeedLike = None) -> np.ndarray:
-    """Eq. 3 sign bits of a ``(B, D)`` accumulator batch (``+1 -> True``).
-
-    The single owner of the randomized sign(0) tie-break contract: rows
-    are visited first-to-last and each row with ties draws one
-    ``choice`` of that row's tie count, so a seeded generator produces
-    the same stream whether the caller materializes dense signs
-    (:func:`repro.encoding.engine.binarize_batch`) or packs bits
-    directly (:func:`pack_signs`) — which is exactly why both funnel
-    through here.
-    """
-    arr = np.asarray(accums)
-    if arr.ndim != 2:
-        raise DimensionMismatchError(
-            f"sign_bits takes a (B, D) accumulator batch, got {arr.shape}"
-        )
-    bits = arr > 0
-    zeros = arr == 0
-    tie_rows = np.flatnonzero(zeros.any(axis=-1))
-    if tie_rows.size:
-        gen = resolve_rng(rng)
-        for row in tie_rows:
-            mask = zeros[row]
-            draws = gen.choice(_PM_ONE, size=int(np.count_nonzero(mask)))
-            bits[row, mask] = draws > 0
-    return bits
-
-
-def pack_signs(
-    accums: np.ndarray,
-    rng: SeedLike = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def pack_signs(accums: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Fused Eq. 3 binarize + word-pack of a ``(B, D)`` accumulator batch.
 
-    Bit-exact with ``pack_words(binarize_batch(accums, rng))`` — both
-    share :func:`sign_bits`, so the tie stream is identical by
+    Bit-exact with ``pack_words(binarize_batch(accums))`` — both share
+    :func:`~repro.hv.ops.sign_bits`, so ties break identically by
     construction — but the ``(B, D)`` int8 intermediate is never
     materialized: signs go straight into uint64 bit-planes. This is the
     final fused stage of the packed encoding path.
@@ -157,7 +122,11 @@ def pack_signs(
     (e.g. a chunk slice of the full batch output) to write into.
     """
     arr = np.asarray(accums)
-    bits = sign_bits(arr, rng)
+    if arr.ndim != 2:
+        raise DimensionMismatchError(
+            f"pack_signs takes a (B, D) accumulator batch, got {arr.shape}"
+        )
+    bits = sign_bits(arr)
     width = packed_word_width(arr.shape[1])
     if out is None:
         out = np.zeros((arr.shape[0], width), dtype=PACKED_WORD_DTYPE)

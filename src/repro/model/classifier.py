@@ -22,7 +22,6 @@ from repro.errors import ConfigurationError, DimensionMismatchError
 from repro.hv.ops import sign
 from repro.hv.packing import pack_words, pairwise_hamming_packed
 from repro.hv.similarity import cosine, cosine_matrix, hamming
-from repro.utils.rng import SeedLike, resolve_rng
 
 
 class HDClassifier:
@@ -38,18 +37,15 @@ class HDClassifier:
         encoder: Encoder,
         n_classes: int,
         binary: bool = True,
-        rng: SeedLike = None,
     ) -> None:
         if n_classes < 2:
             raise ConfigurationError(f"need at least 2 classes, got {n_classes}")
         self.encoder = encoder
         self.n_classes = int(n_classes)
         self.binary = binary
-        self._rng = resolve_rng(rng)
         self._accums: Optional[np.ndarray] = None
-        # Binarized class memory, cached so that sign(0) tie-breaks are
-        # drawn once per training state: a deployed binary model's class
-        # hypervectors are fixed bits, not re-randomized per query.
+        # Binarized class memory (Eq. 3 of the accumulators), cached per
+        # training state so inference does not re-binarize per query.
         self._binary_classes: Optional[np.ndarray] = None
         # Word-packed (uint64 bit-plane) view of the binary class
         # memory, invalidated with it; inference XOR-popcounts packed
@@ -157,26 +153,19 @@ class HDClassifier:
         """Copy of the trained ``(C, D)`` non-binary class accumulators.
 
         The full trainable state of the model (binary class HVs are a
-        deterministic view of it plus the cached tie-breaks). Raises
-        :class:`ConfigurationError` on an untrained model.
+        pure function of it). Raises :class:`ConfigurationError` on an
+        untrained model.
         """
         if self._accums is None:
             raise ConfigurationError("model is untrained; call fit first")
         return self._accums.copy()
 
-    def load_accumulators(
-        self,
-        accumulators: np.ndarray,
-        binary_classes: Optional[np.ndarray] = None,
-    ) -> "HDClassifier":
+    def load_accumulators(self, accumulators: np.ndarray) -> "HDClassifier":
         """Restore trained state exported via :attr:`class_accumulators`.
 
-        ``binary_classes`` optionally pins the binarized class memory of
-        a binary model. Accumulator rows can hit exact zero, where
-        :func:`~repro.hv.ops.sign` draws a random tie-break — passing
-        the snapshot taken at training time keeps a restored service
-        replica bit-identical to the deployed original instead of
-        re-rolling those ties.
+        A binary model's class hypervectors are Eq. 3 of the restored
+        accumulators, so a restored replica predicts bit-identically to
+        the original.
         """
         arr = np.asarray(accumulators, dtype=np.float64)
         expected = (self.n_classes, self.encoder.dim)
@@ -188,18 +177,6 @@ class HDClassifier:
         self._accums = arr.copy()
         self._binary_classes = None
         self._packed_classes = None
-        if binary_classes is not None:
-            if not self.binary:
-                raise ConfigurationError(
-                    "binary_classes only applies to a binary model"
-                )
-            binary_arr = np.asarray(binary_classes)
-            if binary_arr.shape != expected:
-                raise DimensionMismatchError(
-                    f"binary class matrix shape {binary_arr.shape} does "
-                    f"not match (C, D) = {expected}"
-                )
-            self._binary_classes = binary_arr.astype(np.int8, copy=True)
         return self
 
     # ------------------------------------------------------------------
@@ -216,7 +193,7 @@ class HDClassifier:
             raise ConfigurationError("model is untrained; call fit first")
         if self.binary:
             if self._binary_classes is None:
-                self._binary_classes = sign(self._accums, self._rng)
+                self._binary_classes = sign(self._accums)
             return self._binary_classes
         return self._accums
 

@@ -39,9 +39,11 @@ def train_model(
     """One-shot fit followed by ``retrain_epochs`` of refinement.
 
     The training batch is encoded exactly once and shared between the fit
-    and every retraining epoch.
+    and every retraining epoch. Training is deterministic, so ``rng`` is
+    unused; it is accepted only so existing callers keep working.
     """
-    model = HDClassifier(encoder, n_classes=n_classes, binary=binary, rng=rng)
+    del rng
+    model = HDClassifier(encoder, n_classes=n_classes, binary=binary)
     encoded = model.encode_training(train_x)
     model.fit(train_x, train_y, encoded=encoded)
     history = model.retrain(

@@ -75,7 +75,6 @@ def build_demo_tenant(
         n_classes=DEMO_CLASSES,
         binary=True,
         retrain_epochs=1,
-        rng=seed + 2,
     )
     return provision_tenant(directory, name, system, training.model)
 

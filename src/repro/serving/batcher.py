@@ -10,9 +10,10 @@ stacked into one matrix, run through a single batch call
 rows are scattered back to the awaiting requests.
 
 Correctness contract (test-pinned): results are **bit-identical** to
-running every request alone in arrival order. That holds because the
-underlying kernels are themselves bit-exact against the per-sample
-path, including the order of sign(0) tie-break draws.
+running every request alone, in any order. That holds because the
+underlying kernels are pure per row: Eq. 3 breaks sign(0) ties with a
+fixed vector, so a row's result does not depend on which rows share
+its batch or what ran before it.
 
 Determinism contract: no request can hang once submitted.
 
@@ -88,10 +89,10 @@ class MicroBatcher:
     """Coalesce concurrent ``(k, N)`` row chunks into one batch call.
 
     ``run_batch`` is a synchronous callable mapping a stacked ``(B, N)``
-    matrix to a length-``B`` sequence (or array) of per-row results; it
-    runs on the event loop thread, which is what makes arrival-order
-    execution — and therefore bit-parity with the per-request path —
-    deterministic. One batcher serves one (tenant, operation) pair:
+    matrix to a length-``B`` sequence (or array) of per-row results,
+    pure per row, so batching keeps bit-parity with the per-request
+    path. It runs on the event loop thread. One batcher serves one
+    (tenant, operation) pair:
     rows from different tenants run under different keys and must never
     share a matrix.
     """

@@ -11,8 +11,9 @@ model needs, each with its PR 6 trust level:
   lives here, and the store's header carries the revocation list and
   rotation generation that gate every request;
 * the **class-memory state** (``class_state.npz`` + ``serving_model.json``)
-  — trained accumulators plus the binarized snapshot, so a restored
-  replica predicts bit-identically to the system that was provisioned.
+  — the trained accumulators. Eq. 3 is a pure function of them, so a
+  restored replica predicts bit-identically to the system that was
+  provisioned.
 
 Key resolution is re-checked per request via :meth:`Tenant.check_access`:
 a revoked device answers 403, and a device whose stored key bytes no
@@ -43,14 +44,15 @@ from repro.hdlock.provisioning import (
 from repro.model.classifier import HDClassifier
 from repro.serving.errors import KeyAccessError, UnknownTenantError
 from repro.serving.schemas import TenantDescriptor
-from repro.utils.rng import SeedLike
 
 #: Serving-owned artifact names inside a tenant directory.
 MODEL_FILE = "serving_model.json"
 CLASS_STATE_FILE = "class_state.npz"
 
-#: Tenant serving-metadata schema version.
-SERVING_FORMAT_VERSION = 1
+#: Tenant serving-metadata schema version. Version 1 tenants also stored
+#: a binarized class snapshot with rolled sign(0) ties; version 2 stores
+#: only the accumulators, so a version 1 directory is refused.
+SERVING_FORMAT_VERSION = 2
 
 
 def _record_digest(store: KeyStore, device_id: int) -> str:
@@ -165,12 +167,7 @@ def provision_tenant(
             dim=system.key.dim,
         )
     device_id = store.append_key(system.key)
-    state: dict[str, np.ndarray] = {
-        "accumulators": classifier.class_accumulators
-    }
-    if classifier.binary:
-        state["binary_classes"] = classifier.class_matrix.astype(np.int8)
-    np.savez(path / CLASS_STATE_FILE, **state)
+    np.savez(path / CLASS_STATE_FILE, accumulators=classifier.class_accumulators)
     meta = {
         "version": SERVING_FORMAT_VERSION,
         "name": name,
@@ -193,16 +190,12 @@ def provision_tenant(
     )
 
 
-def load_tenant(
-    directory: str | Path, name: str | None = None, rng: SeedLike = 0
-) -> Tenant:
+def load_tenant(directory: str | Path, name: str | None = None) -> Tenant:
     """Rebuild a servable tenant from :func:`provision_tenant` output.
 
     A revoked device still *loads* — requests against it must answer
     403, not crash the registry — so the key is read with
     ``allow_revoked`` and the gate lives in :meth:`Tenant.check_access`.
-    ``rng`` seeds the encoder's sign(0) tie stream; the deterministic
-    default keeps independently loaded replicas bit-identical.
     """
     path = Path(directory)
     try:
@@ -229,15 +222,10 @@ def load_tenant(
         )
     store = KeyStore.open(path / KEYSTORE_DIR)
     key = store.key(device_id, allow_revoked=True)
-    encoder = restore_encoder(path, key, rng=rng)
+    encoder = restore_encoder(path, key)
     try:
         with np.load(path / CLASS_STATE_FILE) as state:
             accumulators = np.asarray(state["accumulators"])
-            binary_classes = (
-                np.asarray(state["binary_classes"])
-                if "binary_classes" in state.files
-                else None
-            )
     except OSError as exc:
         raise ConfigurationError(
             f"class-memory state unreadable at {path / CLASS_STATE_FILE}: "
@@ -249,7 +237,7 @@ def load_tenant(
             f"{exc}"
         ) from exc
     classifier = HDClassifier(encoder, n_classes=n_classes, binary=binary)
-    classifier.load_accumulators(accumulators, binary_classes=binary_classes)
+    classifier.load_accumulators(accumulators)
     return Tenant(
         name=tenant_name,
         directory=path,

@@ -5,7 +5,7 @@ All stochastic code in this library takes a ``seed`` argument that may be
 :class:`numpy.random.Generator`. :func:`resolve_rng` normalizes the three
 forms so call sites never branch, and :func:`spawn_rngs` derives
 independent child generators for sub-components (e.g. one stream for the
-feature memory, one for the value memory, one for sign tie-breaking) so
+feature memory, one for the value memory, one for the key) so
 experiments stay reproducible even when intermediate steps are reordered.
 """
 

@@ -169,7 +169,7 @@ def plain(binary: bool, n: int = 32, dim: int = 1024, seed: int = 0):
     """A fresh unprotected deployment with its value mapping extracted."""
     encoder = RecordEncoder.random(n, M, dim, rng=seed)
     surface, _ = expose_model(encoder, binary=binary, rng=seed + 1)
-    value = extract_value_mapping(surface, rng=seed + 2)
+    value = extract_value_mapping(surface)
     return surface, value.level_order
 
 
@@ -371,7 +371,7 @@ def guarded(n: int = 32, budget: int = 6, seed: int = 51):
         value_pool=surface.value_pool,
         oracle=GuardedOracle(encoder, monitor, binary=True),
     )
-    value = extract_value_mapping(guarded_surface, rng=seed + 2)
+    value = extract_value_mapping(guarded_surface)
     return guarded_surface, value.level_order, monitor
 
 

@@ -31,7 +31,7 @@ class TestBruteForce:
     def deploy(self, n: int, binary: bool = True):
         encoder = RecordEncoder.random(n, 4, 1024, rng=n)
         surface, truth = expose_model(encoder, binary=binary, rng=n + 1)
-        value = extract_value_mapping(surface, rng=n + 2)
+        value = extract_value_mapping(surface)
         return surface, truth, value
 
     def test_finds_true_mapping(self):

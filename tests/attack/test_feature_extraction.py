@@ -19,7 +19,7 @@ N, M, D = 32, 8, 2048
 def deploy(binary: bool, seed: int = 0):
     encoder = RecordEncoder.random(N, M, D, rng=seed)
     surface, truth = expose_model(encoder, binary=binary, rng=seed + 1)
-    value = extract_value_mapping(surface, rng=seed + 2)
+    value = extract_value_mapping(surface)
     return surface, truth, value
 
 

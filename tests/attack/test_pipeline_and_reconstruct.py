@@ -36,7 +36,7 @@ def deployment():
 class TestRunReasoningAttack:
     def test_full_recovery(self, deployment):
         _, surface, truth = deployment
-        result = run_reasoning_attack(surface, rng=3)
+        result = run_reasoning_attack(surface)
         verdict = verify_mapping(result, truth)
         assert verdict.exact
         assert verdict.value_accuracy == 1.0
@@ -44,7 +44,7 @@ class TestRunReasoningAttack:
 
     def test_timings_positive_and_additive(self, deployment):
         _, surface, truth = deployment
-        result = run_reasoning_attack(surface, rng=4)
+        result = run_reasoning_attack(surface)
         assert result.value_seconds > 0
         assert result.feature_seconds > 0
         assert result.total_seconds == pytest.approx(
@@ -53,19 +53,19 @@ class TestRunReasoningAttack:
 
     def test_query_accounting(self, deployment):
         _, surface, _ = deployment
-        result = run_reasoning_attack(surface, rng=5)
+        result = run_reasoning_attack(surface)
         assert result.total_queries == N + 1
         assert result.total_guesses == N * (N + 1) // 2
 
     def test_nonbinary_recovery(self):
         encoder = RecordEncoder.random(N, M, D, rng=6)
         surface, truth = expose_model(encoder, binary=False, rng=7)
-        verdict = verify_mapping(run_reasoning_attack(surface, rng=8), truth)
+        verdict = verify_mapping(run_reasoning_attack(surface), truth)
         assert verdict.exact
 
     def test_attack_never_touches_secure_memory(self, deployment):
         _, surface, truth = deployment
-        run_reasoning_attack(surface, rng=9)
+        run_reasoning_attack(surface)
         # the only accesses logged must be owner-side (none from attack)
         assert all(r.actor == "owner" for r in truth.secure_memory.audit_log)
 
@@ -73,8 +73,8 @@ class TestRunReasoningAttack:
 class TestReconstruct:
     def test_clone_encodes_identically(self, deployment):
         encoder, surface, _ = deployment
-        result = run_reasoning_attack(surface, rng=10)
-        clone = reconstruct_encoder(surface, result, rng=11)
+        result = run_reasoning_attack(surface)
+        clone = reconstruct_encoder(surface, result)
         sample = np.random.default_rng(12).integers(0, M, N)
         np.testing.assert_array_equal(
             clone.encode_nonbinary(sample), encoder.encode_nonbinary(sample)
@@ -82,7 +82,7 @@ class TestReconstruct:
 
     def test_clone_memories_match_victim(self, deployment):
         encoder, surface, _ = deployment
-        result = run_reasoning_attack(surface, rng=13)
+        result = run_reasoning_attack(surface)
         clone = reconstruct_encoder(surface, result)
         np.testing.assert_array_equal(
             clone.feature_memory.matrix, encoder.feature_memory.matrix
@@ -105,9 +105,9 @@ class TestReconstruct:
         )
         original = training.model.score(dataset.test_x, dataset.test_y)
         surface, _ = expose_model(encoder, binary=binary, rng=16)
-        result = run_reasoning_attack(surface, rng=17)
+        result = run_reasoning_attack(surface)
         report, _ = evaluate_theft(
-            original, surface, result, dataset, binary=binary, rng=18
+            original, surface, result, dataset, binary=binary
         )
         assert report.original_accuracy == original
         # Table 1: the stolen encoder supports the same model quality.

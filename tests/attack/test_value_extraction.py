@@ -42,21 +42,21 @@ class TestFindExtremePair:
 class TestEstimateMinValueHV:
     def test_estimate_close_to_true_valhv1(self, deployment):
         surface, truth = deployment
-        estimate = estimate_min_value_hv(surface, rng=5)
+        estimate = estimate_min_value_hv(surface)
         true_row = surface.value_pool[truth.value_assignment[0]]
-        # distance limited by sign-tie noise, far below orthogonal 0.5
+        # distance limited by sign-tie errors, far below orthogonal 0.5
         assert float(hamming(estimate, true_row)) < 0.15
 
     def test_estimate_far_from_max_level(self, deployment):
         surface, truth = deployment
-        estimate = estimate_min_value_hv(surface, rng=6)
+        estimate = estimate_min_value_hv(surface)
         max_row = surface.value_pool[truth.value_assignment[-1]]
         assert float(hamming(estimate, max_row)) > 0.35
 
     def test_costs_one_query(self, deployment):
         surface, _ = deployment
         before = surface.oracle.n_queries
-        estimate_min_value_hv(surface, rng=7)
+        estimate_min_value_hv(surface)
         assert surface.oracle.n_queries == before + 1
 
 
@@ -65,26 +65,26 @@ class TestExtractValueMapping:
     def test_recovers_full_mapping(self, binary):
         encoder = RecordEncoder.random(N, M, D, rng=8)
         surface, truth = expose_model(encoder, binary=binary, rng=9)
-        result = extract_value_mapping(surface, rng=10)
+        result = extract_value_mapping(surface)
         np.testing.assert_array_equal(result.level_order, truth.value_assignment)
 
     def test_confidence_gap_reported(self, deployment):
         surface, _ = deployment
-        result = extract_value_mapping(surface, rng=11)
+        result = extract_value_mapping(surface)
         chosen, rejected = result.extreme_distances
         assert chosen < 0.15
         assert rejected > 0.35
 
     def test_single_query(self, deployment):
         surface, _ = deployment
-        result = extract_value_mapping(surface, rng=12)
+        result = extract_value_mapping(surface)
         assert result.queries == 1
 
     def test_odd_feature_count(self):
         """Odd N leaves no sign ties at all — the estimate is exact."""
         encoder = RecordEncoder.random(N + 1, M, D, rng=13)
         surface, truth = expose_model(encoder, binary=True, rng=14)
-        result = extract_value_mapping(surface, rng=15)
+        result = extract_value_mapping(surface)
         np.testing.assert_array_equal(result.level_order, truth.value_assignment)
         assert result.extreme_distances[0] == 0.0
 
@@ -97,10 +97,10 @@ class TestExtractValueMapping:
             oracle=surface.oracle,
         )
         with pytest.raises(AttackError):
-            extract_value_mapping(broken, rng=17)
+            extract_value_mapping(broken)
 
     def test_many_levels(self):
         encoder = RecordEncoder.random(20, 32, 4096, rng=18)
         surface, truth = expose_model(encoder, binary=True, rng=19)
-        result = extract_value_mapping(surface, rng=20)
+        result = extract_value_mapping(surface)
         np.testing.assert_array_equal(result.level_order, truth.value_assignment)

@@ -1,13 +1,12 @@
 """Differential parity tests: batch engine vs the per-sample reference.
 
 The vectorized engine must be *bit-exact* with the original per-sample
-loop — same integers, same int8 signs, and the same randomized sign(0)
-tie-break stream under a fixed seed. ``ReferenceEncoder`` reimplements
-the pre-engine loop verbatim (independently of
-:func:`repro.encoding.engine.encode_batch_reference`, so the test is a
-true differential harness) and every case builds the system under test
-twice from one seed: once encoded through the engine, once through the
-reference.
+loop — same integers, and the same int8 signs, sign(0) ties included.
+``ReferenceEncoder`` reimplements the pre-engine loop and Eq. 3
+(independently of :func:`repro.encoding.engine.encode_batch_reference`
+and :func:`repro.hv.ops.sign`, so the test is a true differential
+harness); only the fixed tie vector :func:`repro.hv.ops.tie_bits` is
+shared, because it is part of the specification.
 
 Coverage per the HDXplore-style checklist: all four encoders, binary and
 non-binary outputs, odd dimensions (D not divisible by 8 or the chunk
@@ -31,20 +30,25 @@ from repro.encoding.privacy import QuantizedLockedEncoder
 from repro.encoding.record import RecordEncoder
 from repro.errors import DimensionMismatchError
 from repro.hdlock.lock import create_locked_encoder
-from repro.hv.ops import ACCUM_DTYPE, sign
+from repro.hv.ops import ACCUM_DTYPE, tie_bits
 from repro.hv.random import random_pool
 from repro.memory.item_memory import FeatureMemory, LevelMemory
 
 ODD_DIM = 251  # prime: not divisible by 8, any chunk size, or anything else
 
 
+def reference_sign(accum: np.ndarray) -> np.ndarray:
+    """Eq. 3 written out: ``+1``/``-1`` by sign, the tie vector at zero."""
+    ties = np.where(tie_bits(accum.shape[-1]), 1, -1)
+    return np.where(accum == 0, ties, np.sign(accum)).astype(np.int8)
+
+
 class ReferenceEncoder:
-    """The original per-sample ``encode_batch`` loop, kept verbatim."""
+    """The original per-sample ``encode_batch`` loop."""
 
     def __init__(self, encoder) -> None:
         self._level = encoder.level_memory.matrix
         self._features = encoder.feature_matrix
-        self._rng = encoder._tie_rng
 
     def encode_batch(self, samples: np.ndarray, binary: bool = True) -> np.ndarray:
         arr = np.asarray(samples)
@@ -57,7 +61,7 @@ class ReferenceEncoder:
                 self._features.astype(np.int32, copy=False),
                 dtype=ACCUM_DTYPE,
             )
-            out[b] = sign(accum, self._rng) if binary else accum
+            out[b] = reference_sign(accum) if binary else accum
         return out
 
 
@@ -71,8 +75,8 @@ class ReferenceNGram:
         return np.stack([self._encoder.encode(row, binary) for row in seqs])
 
 
-def _record(dim: int):
-    return RecordEncoder.random(n_features=13, levels=6, dim=dim, rng=424242)
+def _record(dim: int, n_features: int = 13):
+    return RecordEncoder.random(n_features, levels=6, dim=dim, rng=424242)
 
 
 def _locked(dim: int):
@@ -86,20 +90,23 @@ def _random_levels(dim: int):
     # push the plan into its exact einsum fallback.
     feature = FeatureMemory(random_pool(9, dim, rng=31))
     level = LevelMemory(random_pool(32, dim, rng=32))
-    return RecordEncoder(feature, level, rng=33)
+    return RecordEncoder(feature, level)
 
 
 RECORD_FACTORIES = {
     "record-odd-dim": lambda: _record(ODD_DIM),
     "record-even-dim": lambda: _record(256),
+    # Even N: accumulations are even, so sign(0) ties occur.
+    "record-even-n": lambda: _record(ODD_DIM, n_features=12),
     "locked-two-layer": lambda: _locked(ODD_DIM),
     "nonlinear-levels-fallback": lambda: _random_levels(ODD_DIM),
 }
 
 
 def _pair(name: str):
-    """Two identically seeded instances: engine- and reference-side."""
-    return RECORD_FACTORIES[name](), ReferenceEncoder(RECORD_FACTORIES[name]())
+    """An encoder and the reference loop over the same matrices."""
+    encoder = RECORD_FACTORIES[name]()
+    return encoder, ReferenceEncoder(encoder)
 
 
 def _samples(encoder, batch: int, seed: int = 7) -> np.ndarray:
@@ -133,7 +140,7 @@ class TestRecordFamilyParity:
         encoder, reference = _pair("record-odd-dim")
         samples = _samples(encoder, 33)
         accums = encoder.plan.accumulate(samples, chunk_size=chunk_size)
-        got = binarize_batch(accums, encoder._tie_rng)
+        got = binarize_batch(accums)
         np.testing.assert_array_equal(got, reference.encode_batch(samples, True))
 
     def test_tiny_memory_budget_still_exact(self, monkeypatch):
@@ -158,23 +165,20 @@ class TestRecordFamilyParity:
         want = reference.encode_batch(samples, binary=True)
         np.testing.assert_array_equal(got, want)
         # And the non-batch entry point funnels through the same plan.
-        fresh = RECORD_FACTORIES["record-odd-dim"]()
         np.testing.assert_array_equal(
-            fresh.encode_nonbinary(samples[2]),
+            encoder.encode_nonbinary(samples[2]),
             encoder.encode_batch(samples, binary=False)[2],
         )
 
 
 class TestTieBreakDeterminism:
     def test_sign_zero_stream_matches_reference(self):
-        # N = 4, M = 2 makes zero accumulations (ties) common; the
-        # engine must consume the tie-break generator row by row in
-        # exactly the reference order.
-        def build():
-            return RecordEncoder.random(n_features=4, levels=2, dim=ODD_DIM, rng=55)
-
-        encoder, reference = build(), ReferenceEncoder(build())
+        # N = 4, M = 2 makes zero accumulations (ties) common; every
+        # tied coordinate must take the reference's fixed tie bit.
+        encoder = RecordEncoder.random(n_features=4, levels=2, dim=ODD_DIM, rng=55)
+        reference = ReferenceEncoder(encoder)
         samples = np.random.default_rng(2).integers(0, 2, size=(50, 4))
+        assert (encoder.encode_batch(samples, binary=False) == 0).any()
         got = encoder.encode_batch(samples, binary=True)
         want = reference.encode_batch(samples, binary=True)
         assert (got == 0).sum() == 0  # fully bipolar output
@@ -193,10 +197,8 @@ class TestNGramParity:
     @pytest.mark.parametrize("binary", [True, False])
     @pytest.mark.parametrize("batch", [1, 6])
     def test_bit_exact(self, binary, batch, monkeypatch):
-        def build():
-            return NGramEncoder(random_pool(7, ODD_DIM, rng=4), n=3, rng=21)
-
-        encoder, reference = build(), ReferenceNGram(build())
+        encoder = NGramEncoder(random_pool(7, ODD_DIM, rng=4), n=3)
+        reference = ReferenceNGram(encoder)
         seqs = np.random.default_rng(5).integers(0, 7, size=(batch, 17))
         # 4-row chunks: a ragged tail at B = 6, one oversize chunk at
         # B = 1. Per row: two (15, D) int8 tiles plus the int64 sum row.
@@ -205,7 +207,7 @@ class TestNGramParity:
         np.testing.assert_array_equal(got, reference.encode_batch(seqs, binary))
 
     def test_empty_batch(self):
-        encoder = NGramEncoder(random_pool(5, 64, rng=6), n=2, rng=0)
+        encoder = NGramEncoder(random_pool(5, 64, rng=6), n=2)
         out = encoder.encode_batch(np.zeros((0, 9), dtype=np.int64))
         assert out.shape == (0, 64)
         assert out.dtype == np.int8
@@ -216,10 +218,8 @@ class TestNGramParity:
 
         key = generate_key(n_features=5, pool_size=6, dim=128, layers=2, rng=9)
 
-        def build():
-            return NGramEncoder(n=2, rng=10, base_pool=pool, key=key)
-
-        encoder, reference = build(), ReferenceNGram(build())
+        encoder = NGramEncoder(n=2, base_pool=pool, key=key)
+        reference = ReferenceNGram(encoder)
         seqs = np.random.default_rng(11).integers(0, 5, size=(4, 12))
         np.testing.assert_array_equal(
             encoder.encode_batch(seqs, True), reference.encode_batch(seqs, True)
@@ -242,7 +242,7 @@ SCALAR_FACTORIES = {
     "record": lambda: _record(64),
     "locked": lambda: _locked(64),
     "quantized": lambda: QuantizedLockedEncoder.random(11, 5, 64, rng=3, layers=2),
-    "ngram": lambda: NGramEncoder(random_pool(5, 64, rng=6), n=2, rng=0),
+    "ngram": lambda: NGramEncoder(random_pool(5, 64, rng=6), n=2),
 }
 
 
@@ -288,18 +288,11 @@ class TestEngineSpecAgreesWithReference:
         # independently written loop above must be the same function.
         from repro.encoding.engine import encode_batch_reference
 
-        def build():
-            return _record(ODD_DIM)
-
-        encoder, reference = build(), ReferenceEncoder(build())
-        spec_side = build()
+        encoder, reference = _pair("record-even-n")
         samples = _samples(encoder, 12)
+        assert (encoder.encode_batch(samples, binary=False) == 0).any()
         spec = encode_batch_reference(
-            spec_side.level_memory.matrix,
-            spec_side.feature_matrix,
-            samples,
-            binary=True,
-            rng=spec_side._tie_rng,
+            encoder.level_memory.matrix, encoder.feature_matrix, samples, binary=True
         )
         np.testing.assert_array_equal(spec, reference.encode_batch(samples, True))
 

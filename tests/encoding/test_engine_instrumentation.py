@@ -26,7 +26,7 @@ def _bitslice_encoder() -> RecordEncoder:
     # operands route to the bit-sliced kernel.
     feature = FeatureMemory(random_pool(9, 256, rng=31))
     level = LevelMemory(random_pool(32, 256, rng=32))
-    return RecordEncoder(feature, level, rng=33)
+    return RecordEncoder(feature, level)
 
 
 def _samples(encoder: RecordEncoder, batch: int) -> np.ndarray:
@@ -68,7 +68,7 @@ class TestCounters:
         encoder = _blas_encoder()
         reg = MetricsRegistry()
         encoder.plan.instrument(reg, scope="test")
-        encoder.plan.accumulate_packed(_samples(encoder, 5), rng=1)
+        encoder.plan.accumulate_packed(_samples(encoder, 5))
         rows, calls = _counts(reg, "test", "blas")
         assert rows == 5
         assert calls == 1
@@ -124,8 +124,8 @@ class TestAdditivity:
             observed.plan.accumulate(samples, chunk_size=4),
         )
         np.testing.assert_array_equal(
-            plain.plan.accumulate_packed(samples, rng=5),
-            observed.plan.accumulate_packed(samples, rng=5),
+            plain.plan.accumulate_packed(samples),
+            observed.plan.accumulate_packed(samples),
         )
 
     def test_uninstrumented_plan_has_no_observer(self):

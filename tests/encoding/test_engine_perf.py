@@ -57,16 +57,11 @@ def _best_of_interleaved(fns, rounds: int = 9) -> list[float]:
 def test_paper_scale_batch_speedup_at_least_5x():
     n_features, levels, dim, batch = 64, 16, 10_000, 512
     encoder = RecordEncoder.random(n_features, levels, dim, rng=1)
-    reference_side = RecordEncoder.random(n_features, levels, dim, rng=1)
     samples = np.random.default_rng(0).integers(0, levels, (batch, n_features))
 
     start = time.perf_counter()
     want = encode_batch_reference(
-        reference_side.level_memory.matrix,
-        reference_side.feature_matrix,
-        samples,
-        binary=True,
-        rng=reference_side._tie_rng,
+        encoder.level_memory.matrix, encoder.feature_matrix, samples, binary=True
     )
     reference_seconds = time.perf_counter() - start
 
@@ -76,8 +71,6 @@ def test_paper_scale_batch_speedup_at_least_5x():
         start = time.perf_counter()
         got = encoder.encode_batch(samples, binary=True)
         best = min(best, time.perf_counter() - start)
-        encoder = RecordEncoder.random(n_features, levels, dim, rng=1)
-        _ = encoder.plan
 
     np.testing.assert_array_equal(got, want)
     speedup = reference_seconds / best
@@ -100,24 +93,20 @@ def test_packed_row_overhead_reduced_at_least_2x():
     dense path also got faster, so it is printed for reference only).
 
     N is odd so accumulations — sums of N odd terms — can never tie at
-    zero: both pipelines' identical per-row tie-draw loops drop out and
-    the gate isolates exactly the D-pass row traffic it is about.
+    zero, and the gate isolates exactly the D-pass row traffic it is
+    about.
     """
     n_features, levels, dim, batch = 63, 16, 10_000, 512
     samples = np.random.default_rng(0).integers(0, levels, (batch, n_features))
 
-    def fresh():
-        encoder = RecordEncoder.random(n_features, levels, dim, rng=1)
-        _ = encoder.plan  # compile outside every timed region
-        return encoder
-
-    parity_dense, parity_packed = fresh(), fresh()
+    encoder = RecordEncoder.random(n_features, levels, dim, rng=1)
+    _ = encoder.plan  # compile outside every timed region
     np.testing.assert_array_equal(
-        parity_packed.encode_batch_packed(samples),
-        pack_words(parity_dense.encode_batch(samples, binary=True)),
+        encoder.encode_batch_packed(samples),
+        pack_words(encoder.encode_batch(samples, binary=True)),
     )
 
-    plan = fresh().plan
+    plan = encoder.plan
 
     def pr1_accumulate(block):
         # PR 1's _accumulate_blas, verbatim: fresh base repeat, scatter,
@@ -138,8 +127,7 @@ def test_packed_row_overhead_reduced_at_least_2x():
         # PR 1 predict feed (binarize_batch + a consumer-side pack).
         from repro.encoding.engine import binarize_batch
 
-        rng = np.random.default_rng(99)
-        pack_words(binarize_batch(pr1_accumulate(samples), rng))
+        pack_words(binarize_batch(pr1_accumulate(samples)))
 
     def matmul_floor():
         # The level-difference matmuls both pipelines run, without the
@@ -152,15 +140,12 @@ def test_packed_row_overhead_reduced_at_least_2x():
             contribution = indicator @ plan._fea_cols[m - 1]
             contribution *= plan._dval_rows[m - 1]
 
-    dense_encoder = fresh()
-    packed_encoder = fresh()
-
     floor_seconds, pr1_seconds, dense_seconds, packed_seconds = _best_of_interleaved(
         [
             matmul_floor,
             pr1_pipeline,
-            lambda: pack_words(dense_encoder.encode_batch(samples, binary=True)),
-            lambda: packed_encoder.encode_batch_packed(samples),
+            lambda: pack_words(encoder.encode_batch(samples, binary=True)),
+            lambda: encoder.encode_batch_packed(samples),
         ]
     )
 
@@ -196,7 +181,7 @@ def test_bitslice_fallback_speedup_at_least_2x():
     n_features, levels, dim, batch = 64, 32, 10_000, 128
     feature = FeatureMemory(random_pool(n_features, dim, rng=2))
     level = LevelMemory(random_pool(levels, dim, rng=1))
-    encoder = RecordEncoder(feature, level, rng=3)
+    encoder = RecordEncoder(feature, level)
     plan = encoder.plan
     assert plan.mode == "bitslice"
     samples = np.random.default_rng(4).integers(0, levels, (batch, n_features))

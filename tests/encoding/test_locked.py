@@ -19,7 +19,7 @@ def locked() -> LockedEncoder:
     pool = random_pool(P, D, rng=0)
     levels = LevelMemory.random(M, D, rng=1)
     key = generate_key(N, L, P, D, rng=2)
-    return LockedEncoder(pool, levels, key, rng=3)
+    return LockedEncoder(pool, levels, key)
 
 
 class TestConstruction:

@@ -5,7 +5,7 @@ Three properties pin the PR's refactor:
 * **parity** — ``encode_batch_packed`` is bit-identical to word-packing
   the dense binary ``encode_batch`` output, for every plan mode
   (blas / bitslice / einsum-reference shapes), odd dimensions, chunk
-  boundaries, and the shared sign(0) tie stream;
+  boundaries, and the shared sign(0) tie vector;
 * **vectorized fallback** — level memories that used to hit the
   per-sample einsum loop now run the batched bit-sliced kernel and stay
   bit-exact against the retained per-sample reference;
@@ -35,8 +35,8 @@ from repro.model.classifier import HDClassifier
 ODD_DIM = 251
 
 
-def _record(dim: int):
-    return RecordEncoder.random(n_features=13, levels=6, dim=dim, rng=424242)
+def _record(dim: int, n_features: int = 13):
+    return RecordEncoder.random(n_features, levels=6, dim=dim, rng=424242)
 
 
 def _locked(dim: int):
@@ -48,12 +48,14 @@ def _locked(dim: int):
 def _bitslice(dim: int):
     feature = FeatureMemory(random_pool(9, dim, rng=31))
     level = LevelMemory(random_pool(32, dim, rng=32))
-    return RecordEncoder(feature, level, rng=33)
+    return RecordEncoder(feature, level)
 
 
 ENCODERS = {
     "record-odd-dim": lambda: _record(ODD_DIM),
     "record-even-dim": lambda: _record(256),
+    # Even N: accumulations are even, so sign(0) ties occur.
+    "record-even-n": lambda: _record(ODD_DIM, n_features=12),
     "locked-two-layer": lambda: _locked(ODD_DIM),
     "bitslice-nonlinear-levels": lambda: _bitslice(ODD_DIM),
 }
@@ -68,72 +70,65 @@ class TestPackedParity:
     @pytest.mark.parametrize("name", sorted(ENCODERS))
     @pytest.mark.parametrize("batch", [0, 1, 7, 33])
     def test_packed_equals_dense_then_pack(self, name, batch):
-        packed_side, dense_side = ENCODERS[name](), ENCODERS[name]()
-        samples = _samples(packed_side, batch)
-        got = packed_side.encode_batch_packed(samples)
-        want = pack_words(dense_side.encode_batch(samples, binary=True))
+        encoder = ENCODERS[name]()
+        samples = _samples(encoder, batch)
+        got = encoder.encode_batch_packed(samples)
+        want = pack_words(encoder.encode_batch(samples, binary=True))
         assert got.dtype == PACKED_WORD_DTYPE
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("chunk_size", [1, 3, 5, 64])
     def test_chunk_boundaries(self, chunk_size):
-        packed_side = ENCODERS["record-odd-dim"]()
-        dense_side = ENCODERS["record-odd-dim"]()
-        samples = _samples(packed_side, 33)
-        got = packed_side.plan.accumulate_packed(
-            samples, packed_side._tie_rng, chunk_size=chunk_size
-        )
-        want = pack_words(dense_side.encode_batch(samples, binary=True))
+        encoder = ENCODERS["record-even-n"]()
+        samples = _samples(encoder, 33)
+        got = encoder.plan.accumulate_packed(samples, chunk_size=chunk_size)
+        want = pack_words(encoder.encode_batch(samples, binary=True))
         np.testing.assert_array_equal(got, want)
 
     def test_tiny_memory_budget(self, monkeypatch):
         monkeypatch.setattr("repro.encoding.engine.DEFAULT_MEMORY_BUDGET", 1)
-        packed_side = ENCODERS["bitslice-nonlinear-levels"]()
-        dense_side = ENCODERS["bitslice-nonlinear-levels"]()
-        samples = _samples(packed_side, 9)
-        got = packed_side.encode_batch_packed(samples)
-        want = pack_words(dense_side.encode_batch(samples, binary=True))
+        encoder = ENCODERS["bitslice-nonlinear-levels"]()
+        samples = _samples(encoder, 9)
+        got = encoder.encode_batch_packed(samples)
+        want = pack_words(encoder.encode_batch(samples, binary=True))
         np.testing.assert_array_equal(got, want)
 
-    def test_tie_stream_shared_with_dense_path(self):
-        # A packed encode advances the tie rng exactly like a dense
-        # binary encode: interleaving the two entry points on one
-        # encoder stays aligned with a dense-only twin.
-        def build():
-            return RecordEncoder.random(n_features=4, levels=2, dim=ODD_DIM, rng=55)
-
-        mixed, dense = build(), build()
-        first = _samples(mixed, 11, seed=2)
-        second = _samples(mixed, 6, seed=3)
+    def test_ties_shared_with_dense_path(self):
+        # N = 4, M = 2 ties often. Packed and dense encodes break the
+        # ties with the same fixed vector, and neither leaves state
+        # behind: interleaving them gives the bits of either alone.
+        encoder = RecordEncoder.random(n_features=4, levels=2, dim=ODD_DIM, rng=55)
+        first = _samples(encoder, 11, seed=2)
+        second = _samples(encoder, 6, seed=3)
+        assert (encoder.encode_batch(first, binary=False) == 0).any()
+        dense_first = encoder.encode_batch(first, binary=True)
+        dense_second = encoder.encode_batch(second, binary=True)
         np.testing.assert_array_equal(
-            mixed.encode_batch_packed(first),
-            pack_words(dense.encode_batch(first, binary=True)),
+            encoder.encode_batch_packed(first), pack_words(dense_first)
         )
         np.testing.assert_array_equal(
-            mixed.encode_batch(second, binary=True),
-            dense.encode_batch(second, binary=True),
+            encoder.encode_batch(second, binary=True), dense_second
+        )
+        np.testing.assert_array_equal(
+            encoder.encode_batch_packed(second), pack_words(dense_second)
         )
 
     def test_encode_packed_single(self):
-        packed_side = ENCODERS["record-even-dim"]()
-        dense_side = ENCODERS["record-even-dim"]()
-        sample = _samples(packed_side, 1)[0]
+        encoder = ENCODERS["record-even-n"]()
+        sample = _samples(encoder, 1)[0]
         np.testing.assert_array_equal(
-            packed_side.encode_packed(sample),
-            pack_words(dense_side.encode(sample, binary=True)),
+            encoder.encode_packed(sample),
+            pack_words(encoder.encode(sample, binary=True)),
         )
 
     def test_ngram_packed_parity(self, monkeypatch):
-        def build():
-            return NGramEncoder(random_pool(7, ODD_DIM, rng=4), n=3, rng=21)
-
-        packed_side, dense_side = build(), build()
+        encoder = NGramEncoder(random_pool(7, ODD_DIM, rng=4), n=3)
         seqs = np.random.default_rng(5).integers(0, 7, size=(6, 17))
         # A one-byte budget degenerates to one sequence per chunk.
         monkeypatch.setattr("repro.encoding.engine.DEFAULT_MEMORY_BUDGET", 1)
         np.testing.assert_array_equal(
-            packed_side.encode_batch_packed(seqs),
-            pack_words(dense_side.encode_batch(seqs, binary=True)),
+            encoder.encode_batch_packed(seqs),
+            pack_words(encoder.encode_batch(seqs, binary=True)),
         )
 
 
@@ -169,7 +164,7 @@ class TestVectorizedFallback:
             (2 * gen.integers(0, 2, (40, dim)) - 1).astype(np.int64) * 2**28
         )
         feature = FeatureMemory(random_pool(6, dim, rng=9))
-        encoder = RecordEncoder(feature, level, rng=10)
+        encoder = RecordEncoder(feature, level)
         assert encoder.plan.mode == "einsum"
         samples = _samples(encoder, 5)
         np.testing.assert_array_equal(
@@ -186,7 +181,7 @@ class TestZeroRoundTrips:
         gen = np.random.default_rng(17)
         samples = gen.integers(0, encoder.levels, (40, encoder.n_features))
         labels = gen.integers(0, 3, 40)
-        model = HDClassifier(encoder, n_classes=3, binary=True, rng=8)
+        model = HDClassifier(encoder, n_classes=3, binary=True)
         model.fit(samples, labels)
         return model, samples
 
@@ -210,11 +205,9 @@ class TestZeroRoundTrips:
 
     def test_predict_matches_dense_reference_flow(self):
         model, samples = self._trained_model()
-        packed_predictions = model.predict(samples)
-        dense_twin, dense_samples = self._trained_model()
-        encoded = dense_twin.encoder.encode_batch(dense_samples, binary=True)
+        encoded = model.encoder.encode_batch(samples, binary=True)
         np.testing.assert_array_equal(
-            packed_predictions, dense_twin._predict_encoded(encoded)
+            model.predict(samples), model._predict_encoded(encoded)
         )
 
     def test_locked_encoder_inference_flows_packed(self, monkeypatch):
@@ -253,7 +246,6 @@ class TestZeroRoundTrips:
 
     def test_oracle_packed_queries(self, monkeypatch):
         encoder = ENCODERS["record-odd-dim"]()
-        dense_side = ENCODERS["record-odd-dim"]()
         oracle = EncodingOracle(encoder, binary=True)
         samples = _samples(encoder, 8)
         # Three-row chunks, the last one ragged.
@@ -263,7 +255,7 @@ class TestZeroRoundTrips:
         )
         got = oracle.query_batch_packed(samples)
         np.testing.assert_array_equal(
-            got, pack_words(dense_side.encode_batch(samples, binary=True))
+            got, pack_words(encoder.encode_batch(samples, binary=True))
         )
         assert oracle.n_queries == 8
 

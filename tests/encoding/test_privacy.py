@@ -21,7 +21,7 @@ N_FEATURES, LEVELS, DIM, POOL = 24, 8, 1024, 8
 
 @pytest.fixture
 def parts(rng):
-    """Shared (pool, level memory, key) so encoder pairs are twins."""
+    """Shared (pool, level memory, key) so encoder pairs are comparable."""
     pool = random_pool(POOL, DIM, rng)
     memory = LevelMemory.random(LEVELS, DIM, rng)
     key = generate_key(N_FEATURES, 1, POOL, DIM, rng)
@@ -55,26 +55,26 @@ class TestValidation:
 
 class TestQuantizer:
     def test_outputs_live_on_the_symmetric_grid(self, parts, samples):
-        encoder = QuantizedLockedEncoder(*parts, rng=5, quant_levels=5)
+        encoder = QuantizedLockedEncoder(*parts, quant_levels=5)
         out = encoder.encode_batch(samples, binary=False)
         assert out.dtype == np.int64
         assert set(np.unique(out)) <= {-2, -1, 0, 1, 2}
 
     def test_three_levels_zero_the_bulk(self, parts, samples):
         # +/-1.5 sigma of a ~N(0, N) accumulation collapses to bucket 0:
-        # the majority of coordinates, each re-binarized by a fresh
-        # sign(0) tie-break — that's the whole defense
-        encoder = QuantizedLockedEncoder(*parts, rng=5)
+        # the majority of coordinates, each binarized to its fixed
+        # sign(0) tie bit
+        encoder = QuantizedLockedEncoder(*parts)
         out = encoder.encode_batch(samples, binary=False)
         assert np.mean(out == 0) > 0.5
 
     def test_rekey_preserves_parameters(self, parts, rng):
         pool, memory, key = parts
         encoder = QuantizedLockedEncoder(
-            pool, memory, key, rng=5, quant_levels=5, clip_sigmas=2.0
+            pool, memory, key, quant_levels=5, clip_sigmas=2.0
         )
         fresh_key = generate_key(N_FEATURES, 1, POOL, DIM, rng)
-        rekeyed = encoder.rekey(fresh_key, rng=6)
+        rekeyed = encoder.rekey(fresh_key)
         assert isinstance(rekeyed, QuantizedLockedEncoder)
         assert rekeyed.quant_levels == 5
         assert rekeyed.clip_sigmas == 2.0
@@ -92,12 +92,12 @@ class TestQuantizer:
 
 class TestSparsifier:
     def test_exact_keep_count_per_row(self, parts, samples):
-        encoder = SparsifiedLockedEncoder(*parts, rng=5, keep_fraction=0.05)
+        encoder = SparsifiedLockedEncoder(*parts, keep_fraction=0.05)
         out = encoder.encode_batch(samples, binary=False)
         keep = round(0.05 * DIM)
         assert (np.count_nonzero(out, axis=1) <= keep).all()
         # survivors are exactly the top-|H| coordinates of the raw rows
-        raw = LockedEncoder(*parts, rng=5).encode_batch(
+        raw = LockedEncoder(*parts).encode_batch(
             samples, binary=False
         )
         survivor_floor = np.where(out != 0, np.abs(raw), np.iinfo(np.int64).max)
@@ -105,19 +105,19 @@ class TestSparsifier:
         assert (survivor_floor.min(axis=1) >= dropped_ceiling.max(axis=1)).all()
 
     def test_keep_everything_is_identity(self, parts, samples):
-        sparse = SparsifiedLockedEncoder(*parts, rng=5, keep_fraction=1.0)
-        plain = LockedEncoder(*parts, rng=5)
+        sparse = SparsifiedLockedEncoder(*parts, keep_fraction=1.0)
+        plain = LockedEncoder(*parts)
         np.testing.assert_array_equal(
             sparse.encode_batch(samples, binary=False),
             plain.encode_batch(samples, binary=False),
         )
 
     def test_transform_is_deterministic(self, parts, samples):
-        # no RNG in the transform itself: two twins agree bit for bit
-        a = SparsifiedLockedEncoder(*parts, rng=5).encode_batch(
+        # no RNG in the transform itself: two instances agree bit for bit
+        a = SparsifiedLockedEncoder(*parts).encode_batch(
             samples, binary=False
         )
-        b = SparsifiedLockedEncoder(*parts, rng=5).encode_batch(
+        b = SparsifiedLockedEncoder(*parts).encode_batch(
             samples, binary=False
         )
         np.testing.assert_array_equal(a, b)
@@ -137,17 +137,16 @@ class TestPathParity:
         ids=["quantized", "sparsified", "quantized-binary", "sparsified-binary"],
     )
     def test_single_equals_batch_nonbinary(self, parts, samples, factory, binary):
-        # binary=True replays the single-sample tie stream: the quantizer
-        # zeroes most coordinates, so that run is dense with sign(0) draws
-        single = factory(*parts, rng=5)
-        batch = factory(*parts, rng=5)
+        # the quantizer zeroes most coordinates, so the binary run is
+        # dense with sign(0) ties
+        encoder = factory(*parts)
         rows = np.stack(
             [
-                single.encode(sample) if binary else single.encode_nonbinary(sample)
+                encoder.encode(sample) if binary else encoder.encode_nonbinary(sample)
                 for sample in samples
             ]
         )
-        np.testing.assert_array_equal(rows, batch.encode_batch(samples, binary))
+        np.testing.assert_array_equal(rows, encoder.encode_batch(samples, binary))
 
     @pytest.mark.parametrize(
         "factory",
@@ -155,17 +154,13 @@ class TestPathParity:
         ids=["quantized", "sparsified"],
     )
     def test_packed_equals_packed_dense(self, parts, samples, factory):
-        # twin encoders: binarization consumes the tie-break stream, so
-        # parity needs identically seeded instances, not two calls
-        packed = factory(*parts, rng=5).encode_batch_packed(samples)
-        dense = factory(*parts, rng=5).encode_batch(samples, binary=True)
+        encoder = factory(*parts)
+        packed = encoder.encode_batch_packed(samples)
+        dense = encoder.encode_batch(samples, binary=True)
         np.testing.assert_array_equal(packed, pack_words(dense))
 
     def test_encode_packed_single_sample(self, parts, samples):
-        packed = QuantizedLockedEncoder(*parts, rng=5).encode_packed(
-            samples[0]
-        )
-        batch = QuantizedLockedEncoder(*parts, rng=5).encode_batch_packed(
-            samples[:1]
-        )
+        encoder = QuantizedLockedEncoder(*parts)
+        packed = encoder.encode_packed(samples[0])
+        batch = encoder.encode_batch_packed(samples[:1])
         np.testing.assert_array_equal(packed, batch[0])

@@ -36,7 +36,7 @@ class TestConfig:
 
 class TestFig3:
     # Fig. 3/5/6 keep the paper's N = 784: with D much below N the
-    # binary sign-tie noise floor swallows the dip, so these two
+    # binary sign-tie error floor swallows the dip, so these two
     # experiments are tested at the reduced-scale D rather than the
     # pathological test_scale D = 512 used elsewhere.
     def test_correct_guess_separated(self, test_scale):
@@ -45,7 +45,7 @@ class TestFig3:
         assert result.distances.shape == (784,)
         # The correct candidate is the unique global minimum. (The
         # paper's ~4-5x correct/wrong gap needs the full D = 10,000;
-        # at reduced D the tie-noise floor is proportionally higher.)
+        # at reduced D the tie error floor is proportionally higher.)
         assert result.separation > 0
         assert int(np.argmin(result.distances)) == result.correct_index
         assert result.correct_distance < result.wrong_distances.mean()

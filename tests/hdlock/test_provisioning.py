@@ -57,7 +57,7 @@ class TestSaveLoadRoundtrip:
         odd = create_locked_encoder(N, M, 100, layers=2, rng=0)
         for name, locked in (("word-aligned", system), ("padded", odd)):
             save_public_bundle(tmp_path / name, locked.encoder)
-            restored = restore_encoder(tmp_path / name, locked.key, rng=1)
+            restored = restore_encoder(tmp_path / name, locked.key)
             sample = np.random.default_rng(2).integers(0, M, N)
             np.testing.assert_array_equal(
                 restored.encode_nonbinary(sample),
@@ -276,11 +276,11 @@ class TestFleetProvisioning:
     def test_restore_device_encoder(self, system, tmp_path, batch):
         save_public_bundle(tmp_path, system.encoder)
         save_fleet_keys(tmp_path, batch)
-        encoder = restore_device_encoder(tmp_path, 4, rng=2)
+        encoder = restore_device_encoder(tmp_path, 4)
         sample = np.random.default_rng(3).integers(0, M, N)
         np.testing.assert_array_equal(
             encoder.encode_nonbinary(sample),
-            restore_encoder(tmp_path, batch.key(4), rng=2).encode_nonbinary(
+            restore_encoder(tmp_path, batch.key(4)).encode_nonbinary(
                 sample
             ),
         )

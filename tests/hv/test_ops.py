@@ -251,15 +251,32 @@ class TestSign:
         np.testing.assert_array_equal(out, [1, -1, 1, -1])
 
     def test_zero_ties_are_random_but_bipolar(self):
-        out = ops.sign(np.zeros(1000), rng=7)
+        # Ties take the fixed tie vector, whose bits are a random draw:
+        # roughly balanced across coordinates.
+        out = ops.sign(np.zeros(1000))
         assert set(np.unique(out)) == {-1, 1}
-        # roughly balanced tie-breaking
         assert 350 < np.count_nonzero(out == 1) < 650
+        np.testing.assert_array_equal(out == 1, ops.tie_bits(1000))
 
     def test_zero_ties_reproducible_with_seed(self):
-        a = ops.sign(np.zeros(64), rng=5)
-        b = ops.sign(np.zeros(64), rng=5)
-        np.testing.assert_array_equal(a, b)
+        # The tie vector is drawn once from TIE_SEED; every call, and
+        # every row of a batch, reuses it.
+        want = np.random.default_rng(ops.TIE_SEED).integers(0, 2, 64, dtype=bool)
+        np.testing.assert_array_equal(ops.tie_bits(64), want)
+        a = ops.sign(np.zeros(64))
+        b = ops.sign(np.zeros((3, 64)))
+        np.testing.assert_array_equal(b, np.broadcast_to(a, (3, 64)))
+
+    def test_ties_only_where_zero(self):
+        accum = np.array([[3, 0, -2, 0], [0, 0, 0, 0]])
+        ties = np.where(ops.tie_bits(4), 1, -1)
+        out = ops.sign(accum)
+        np.testing.assert_array_equal(out[0], [1, ties[1], -1, ties[3]])
+        np.testing.assert_array_equal(out[1], ties)
+
+    def test_tie_vector_is_read_only(self):
+        with pytest.raises(ValueError):
+            ops.tie_bits(64)[0] = True
 
     def test_output_dtype(self):
         assert ops.sign(np.array([2.5, -0.5])).dtype == ops.BIPOLAR_DTYPE

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.encoding.engine import binarize_batch
 from repro.errors import DimensionMismatchError
+from repro.hv.ops import tie_bits
 from repro.hv.packing import (
     PACKED_WORD_DTYPE,
     hamming_packed,
@@ -145,27 +146,25 @@ class TestPackSigns:
     def test_matches_binarize_then_pack(self, dim, rows):
         # Small integer accums with plenty of exact zeros (ties).
         accums = np.random.default_rng(dim + rows).integers(-2, 3, (rows, dim))
-        got = pack_signs(accums, np.random.default_rng(42))
-        want = pack_words(binarize_batch(accums, np.random.default_rng(42)))
+        got = pack_signs(accums)
+        want = pack_words(binarize_batch(accums))
         assert got.dtype == PACKED_WORD_DTYPE
         np.testing.assert_array_equal(got, want)
 
     def test_float_accums_match_integer_accums(self):
         # The fused blas path hands float accumulators to pack_signs;
-        # exact float zeros must tie-break identically to int zeros.
+        # exact float zeros must take the same tie bits as int zeros.
         accums = np.random.default_rng(0).integers(-3, 4, (7, 100))
-        got = pack_signs(accums.astype(np.float32), np.random.default_rng(7))
-        want = pack_signs(accums, np.random.default_rng(7))
+        got = pack_signs(accums.astype(np.float32))
+        want = pack_signs(accums)
         np.testing.assert_array_equal(got, want)
 
     def test_out_buffer_written_in_place(self):
         accums = np.random.default_rng(1).integers(-2, 3, (5, 130))
         out = np.empty((5, packed_word_width(130)), dtype=PACKED_WORD_DTYPE)
-        result = pack_signs(accums, np.random.default_rng(3), out=out)
+        result = pack_signs(accums, out=out)
         assert result is out
-        np.testing.assert_array_equal(
-            out, pack_signs(accums, np.random.default_rng(3))
-        )
+        np.testing.assert_array_equal(out, pack_signs(accums))
 
     def test_bad_out_buffer_rejected(self):
         accums = np.zeros((2, 64))
@@ -174,16 +173,18 @@ class TestPackSigns:
         with pytest.raises(DimensionMismatchError):
             pack_signs(np.zeros(64))  # 1-D input
 
-    def test_tie_stream_consumed_row_by_row(self):
-        # Two batches that differ only in a later row must agree on all
-        # earlier rows' tie draws.
+    def test_rows_tie_independently(self):
+        # Every all-zero row packs to the fixed tie vector, whatever the
+        # other rows of the batch hold.
         accums = np.zeros((3, 65), dtype=np.int64)
         accums[2, 0] = 5
-        a = pack_signs(accums, np.random.default_rng(9))
+        a = pack_signs(accums)
         accums2 = accums.copy()
         accums2[2] = -1
-        b = pack_signs(accums2, np.random.default_rng(9))
+        b = pack_signs(accums2)
         np.testing.assert_array_equal(a[:2], b[:2])
+        np.testing.assert_array_equal(a[0], pack_words(np.where(tie_bits(65), 1, -1)))
+        np.testing.assert_array_equal(a[1], a[0])
 
 
 class TestPairwiseHammingErrorContract:

@@ -69,12 +69,12 @@ class TestFullAttackDefenseCycle:
         surface, truth = expose_model(encoder, binary=binary, rng=3)
 
         # 3. The reasoning attack steals the full mapping (Sec. 3.2).
-        result = run_reasoning_attack(surface, rng=4)
+        result = run_reasoning_attack(surface)
         assert verify_mapping(result, truth).exact
 
         # 4. The reconstructed model matches the original (Table 1).
         report, _ = evaluate_theft(
-            original, surface, result, dataset, binary=binary, rng=5
+            original, surface, result, dataset, binary=binary
         )
         assert abs(report.accuracy_gap) < 0.1
 
@@ -121,7 +121,7 @@ class TestLockedModelServing:
     def test_locked_classifier_is_a_dropin(self, dataset):
         """A locked encoder plugs into HDClassifier unchanged."""
         system = create_locked_encoder(N, M, D, layers=2, rng=7)
-        model = HDClassifier(system.encoder, C, binary=True, rng=8)
+        model = HDClassifier(system.encoder, C, binary=True)
         model.fit(dataset.train_x, dataset.train_y)
         assert model.score(dataset.test_x, dataset.test_y) > 0.6
 
@@ -129,7 +129,7 @@ class TestLockedModelServing:
         """Re-keying (e.g. after suspected leakage) + retraining restores
         service; stale class HVs under the new key do not."""
         system = create_locked_encoder(N, M, D, layers=2, rng=9)
-        model = HDClassifier(system.encoder, C, binary=False, rng=10)
+        model = HDClassifier(system.encoder, C, binary=False)
         model.fit(dataset.train_x, dataset.train_y)
         before = model.score(dataset.test_x, dataset.test_y)
 
@@ -137,11 +137,11 @@ class TestLockedModelServing:
 
         new_key = generate_key(N, 2, N, D, rng=11)
         rekeyed_encoder = system.encoder.rekey(new_key)
-        stale = HDClassifier(rekeyed_encoder, C, binary=False, rng=12)
+        stale = HDClassifier(rekeyed_encoder, C, binary=False)
         stale._accums = model._accums  # serve old class HVs on new key
         degraded = stale.score(dataset.test_x, dataset.test_y)
         assert degraded < before - 0.2
 
-        fresh = HDClassifier(rekeyed_encoder, C, binary=False, rng=13)
+        fresh = HDClassifier(rekeyed_encoder, C, binary=False)
         fresh.fit(dataset.train_x, dataset.train_y)
         assert fresh.score(dataset.test_x, dataset.test_y) > before - 0.1

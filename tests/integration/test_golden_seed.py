@@ -32,10 +32,16 @@ GOLDEN = {
     # batched integers() calls, so seeded *keys* (not encoder numerics)
     # changed. Encoding kernels are untouched — every other digest held.
     "locked-binary": "cbe5534f2fab2f2aa733877ff4577ded95a40277d9ba0b0228365545e71b771a",
-    "ngram-binary": "d4079e0ec08e4a2a67c7fb680e3f9f5833b2b84d64d4d51759766bf02068201c",
+    # Re-pinned when Eq. 3 moved from a per-encoder tie-break stream to
+    # the fixed tie vector (repro.hv.ops.tie_bits): these three outputs
+    # binarize exact zeros (an even number of n-grams, even N = 20
+    # encodings and class sums). The odd-N record and locked encodings
+    # never tie and the non-binary outputs never binarize, so their
+    # digests held.
+    "ngram-binary": "b5821a5d77d2cd1cb94ae94c25e7c5c1f128a21be951b57a9f617ac5e25b3366",
     "ngram-nonbinary": "7f07a1a4096f584c5d1a9afa75021b1526ba2be502998feb58f89c92d3718493",
-    "classifier-class-matrix": "d40419c71bfe6ffedee95a01edc22b01e194b9b7973c5636346d90d4310cb9fb",
-    "classifier-predictions": "d784a2d99cbc0a87aca455ca4b7528a908693a709a494faaf6d285f3d0ea67c5",
+    "classifier-class-matrix": "8e0ccff6d5bf6f4ebf35cddf63f78545006953ab8c889cb9fd4f94adc80faf5b",
+    "classifier-predictions": "358b891cbf696de9a453eb7bf30f3eeddc8b8348270ca7a909cb062d3d8525de",
     "classifier-nonbinary-accums": "5452808c656b757530b4ee704dee609bc8aaffe86e54295ab5ca9c9cf99e24df",
     "classifier-nonbinary-predictions": "f61a94fae465e7b88294ae6ea8de80119f9042a866b7571117a4e465cc6373a5",
 }
@@ -70,7 +76,7 @@ def test_locked_encoder_digest():
 
 
 def test_ngram_encoder_digests():
-    encoder = NGramEncoder(random_pool(7, 384, rng=5), n=3, rng=11)
+    encoder = NGramEncoder(random_pool(7, 384, rng=5), n=3)
     seqs = np.random.default_rng(3).integers(0, 7, (8, 20))
     assert _digest(encoder.encode_batch(seqs, binary=True)) == GOLDEN["ngram-binary"]
     assert (
@@ -86,7 +92,7 @@ def _training_data():
 def test_binary_classifier_digests():
     samples, labels = _training_data()
     model = HDClassifier(
-        RecordEncoder.random(20, 8, 512, rng=31), n_classes=3, binary=True, rng=8
+        RecordEncoder.random(20, 8, 512, rng=31), n_classes=3, binary=True
     ).fit(samples, labels)
     assert _digest(model.class_matrix) == GOLDEN["classifier-class-matrix"]
     assert _digest(model.predict(samples)) == GOLDEN["classifier-predictions"]
@@ -95,7 +101,7 @@ def test_binary_classifier_digests():
 def test_nonbinary_classifier_digests():
     samples, labels = _training_data()
     model = HDClassifier(
-        RecordEncoder.random(20, 8, 512, rng=31), n_classes=3, binary=False, rng=8
+        RecordEncoder.random(20, 8, 512, rng=31), n_classes=3, binary=False
     ).fit(samples, labels)
     assert _digest(model.class_matrix) == GOLDEN["classifier-nonbinary-accums"]
     assert (

@@ -141,7 +141,7 @@ class TestAttackInvariance:
         enc = RecordEncoder.random(17, 6, 1024, rng=seed)
         for publish_seed in (seed + 1, seed + 2):
             surface, truth = expose_model(enc, binary=True, rng=publish_seed)
-            result = extract_value_mapping(surface, rng=publish_seed)
+            result = extract_value_mapping(surface)
             np.testing.assert_array_equal(
                 result.level_order, truth.value_assignment
             )

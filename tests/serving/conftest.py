@@ -1,9 +1,8 @@
 """Serving fixtures: a provisioned tenant directory + loaded registries.
 
-Parity-sensitive tests always compare *replicas* — tenants rebuilt via
-``load_tenant`` with its deterministic tie-stream seed — never the
-original in-memory system, whose tie RNG already advanced during
-training.
+Encoders and classifiers are pure functions, so a tenant rebuilt via
+``load_tenant`` answers bit-identically to the original in-memory system
+and to every other replica.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ def provisioned(tmp_path, locked_system, tiny_dataset):
         n_classes=tiny_dataset.n_classes,
         binary=True,
         retrain_epochs=1,
-        rng=7,
     )
     directory = tmp_path / "alpha"
     tenant = provision_tenant(directory, "alpha", locked_system, training.model)

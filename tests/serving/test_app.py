@@ -123,6 +123,41 @@ class TestServiceParity:
         unbatched = drive(max_batch=1, max_wait_s=0.0)
         assert batched == unbatched
 
+    def test_encode_is_pure_across_traffic_and_replicas(
+        self, provisioned, tiny_dataset
+    ):
+        # N = 40 is even, so the probe's accumulation ties at zero: its
+        # bits depend on the sign(0) rule, which must not depend on what
+        # the service served before or on which replica answers.
+        probe = tiny_dataset.test_x[0]
+        traffic = tiny_dataset.test_x[1:9].tolist()
+        replica = load_tenant(provisioned.directory)
+        assert (replica.encoder.encode_nonbinary(probe) == 0).any()
+
+        def serve(turns: tuple[str, ...]) -> list[str]:
+            """Load a fresh replica and answer ``turns`` in order."""
+            registry = ModelRegistry()
+            registry.add(load_tenant(provisioned.directory))
+            answers = []
+            with TestClient(create_app(registry, max_wait_s=0.001)) as client:
+                for turn in turns:
+                    if turn == "traffic":
+                        client.post("/v1/alpha/encode", json={"samples": traffic})
+                        client.post("/v1/alpha/classify", json={"samples": traffic})
+                        continue
+                    response = client.post(
+                        "/v1/alpha/encode", json={"sample": probe.tolist()}
+                    )
+                    answers.extend(response.json()["packed_hex"])
+            return answers
+
+        first_replica = serve(("probe", "traffic", "probe"))
+        second_replica = serve(("traffic", "probe"))
+        assert len(first_replica + second_replica) == 3
+        assert len(set(first_replica + second_replica)) == 1
+        want = provisioned.tenant.encoder.encode_batch_packed(probe[None, :])
+        np.testing.assert_array_equal(hex_to_packed_row(first_replica[0]), want[0])
+
 
 class TestErrorPaths:
     def test_unknown_tenant_404(self, client):

@@ -69,8 +69,8 @@ class TestLoadRoundTrip:
 
     def test_replica_matches_original_class_memory(self, provisioned):
         replica = load_tenant(provisioned.directory)
-        # The trained state round-trips exactly: accumulators and the
-        # binarized snapshot (tie-breaks included) are the originals.
+        # The trained state round-trips exactly: the accumulators are the
+        # originals, and the binary class memory is Eq. 3 of them.
         np.testing.assert_array_equal(
             replica.classifier.class_accumulators,
             provisioned.original.class_accumulators,
@@ -98,6 +98,17 @@ class TestLoadRoundTrip:
         meta["version"] = 99
         (tenant_dir / MODEL_FILE).write_text(json.dumps(meta))
         with pytest.raises(ConfigurationError, match="version 99"):
+            load_tenant(tenant_dir)
+
+    def test_version_one_tenant_refused(self, tenant_dir):
+        # Version 1 tenants carried a binarized class snapshot with rolled
+        # sign(0) ties; this build derives the class memory from the
+        # accumulators and refuses them rather than serve mixed ties.
+        meta = json.loads((tenant_dir / MODEL_FILE).read_text())
+        assert meta["version"] == 2
+        meta["version"] = 1
+        (tenant_dir / MODEL_FILE).write_text(json.dumps(meta))
+        with pytest.raises(ConfigurationError, match="version 1 unsupported"):
             load_tenant(tenant_dir)
 
 
