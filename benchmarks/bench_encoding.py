@@ -12,8 +12,7 @@ per-sample loop (:func:`repro.encoding.engine.encode_batch_reference`)
 and print the speedup (run with ``-s``); parity is asserted on every
 run, so the speedup numbers are for bit-identical outputs. The packed
 benches do the same for the fused packed path (dense binarize + pack
-vs ``encode_batch_packed``) and for the bit-sliced fallback kernel
-against the retained per-sample einsum.
+vs ``encode_batch_packed``).
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ from repro.encoding.record import RecordEncoder
 from repro.hdlock.feature_factory import derive_feature_matrix
 from repro.hdlock.lock import create_locked_encoder
 from repro.hv.packing import pack_words
-from repro.hv.random import random_pool
-from repro.memory.item_memory import FeatureMemory, LevelMemory
 
 N, M = 784, 16
 
@@ -133,35 +130,6 @@ def test_encode_batch_packed_vs_dense(benchmark, dim, quick):
         f"dense+pack {dense_seconds * 1e6 / batch:7.1f} us/row | "
         f"fused packed {packed_seconds * 1e6 / batch:7.1f} us/row | "
         f"{dense_seconds / packed_seconds:5.2f}x"
-    )
-
-
-def test_encode_batch_bitslice_fallback(benchmark, dim, quick):
-    """Bit-sliced kernel vs the per-sample einsum on non-linear levels."""
-    batch, n_features, levels = (16, 64, 32) if quick else (128, 64, 32)
-    encoder = RecordEncoder(
-        FeatureMemory(random_pool(n_features, dim, rng=11)),
-        LevelMemory(random_pool(levels, dim, rng=12)),
-    )
-    plan = encoder.plan
-    assert plan.mode == "bitslice"
-    samples = np.random.default_rng(14).integers(0, levels, (batch, n_features))
-
-    start = time.perf_counter()
-    want = plan._accumulate_einsum(samples)
-    reference_seconds = time.perf_counter() - start
-
-    np.testing.assert_array_equal(plan.accumulate(samples), want)
-    benchmark(plan.accumulate, samples)
-
-    start = time.perf_counter()
-    plan.accumulate(samples)
-    bitslice_seconds = time.perf_counter() - start
-    print(
-        f"\n[bitslice-fallback] B={batch} N={n_features} M={levels} D={dim}: "
-        f"per-sample einsum {reference_seconds * 1e6 / batch:7.1f} us/row | "
-        f"bit-sliced {bitslice_seconds * 1e6 / batch:7.1f} us/row | "
-        f"{reference_seconds / bitslice_seconds:5.2f}x"
     )
 
 

@@ -13,9 +13,9 @@ itself delivers. Two configurations of the same app are compared:
   batcher window, so the ratio isolates what micro-batching buys.
 
 The tenant shape is chosen to be encode-overhead-bound: fine level
-quantization (64 levels) means the bit-sliced accumulate walks many
-bit-planes per call, which is exactly the per-call fixed cost that
-coalescing amortizes. This mirrors the fleet deployments the paper
+quantization (64 levels) means the level-difference accumulate makes
+63 small BLAS steps per call, which is exactly the per-call fixed cost
+that coalescing amortizes. This mirrors the fleet deployments the paper
 targets — many small sensors, finely quantized features, one shared
 service.
 

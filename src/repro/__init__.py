@@ -43,17 +43,15 @@ Packed end-to-end flow
 
 The binary hot path never leaves the packed bit domain. Record encoders
 fuse ``encode_batch_packed(samples)``, the packed form of the binary
-``encode_batch``, into the engine: accumulations stream through a reused float scratch
-buffer (or the carry-save bit-plane kernel of :mod:`repro.hv.bitslice`
-when the level memory defeats the BLAS decomposition) and binarize
-*in place* into uint64 bit-planes via
-:func:`repro.hv.packing.pack_signs` — no int64 batch, no int8 sign
-matrix, no separate pack pass. Downstream consumers keep those words as
-is: :class:`~repro.model.classifier.HDClassifier` XOR-popcounts packed
-queries against its cached packed class memory (``predict``/``fit``/
-``retrain`` pack at most once per training state), locked-encoder
-inference inherits the same path, and attack pool scoring
-(:mod:`repro.attack.feature_extraction`,
+``encode_batch``, into the engine: accumulations stream through one
+reused float scratch buffer per call and binarize *in place* into
+uint64 bit-planes via :func:`repro.hv.packing.pack_signs` — no int64
+batch, no int8 sign matrix, no separate pack pass. Downstream consumers
+keep those words as is: :class:`~repro.model.classifier.HDClassifier`
+XOR-popcounts packed queries against its cached packed class memory
+(``predict``/``fit``/``retrain`` pack at most once per training
+state), locked-encoder inference inherits the same path, and attack
+pool scoring (:mod:`repro.attack.feature_extraction`,
 :mod:`repro.attack.value_extraction`,
 :mod:`repro.attack.hdlock_attack`) scores candidates with word-packed
 tables — zero pack/unpack round-trips between encoding and decision,

@@ -24,8 +24,7 @@ differential probing instead of relying on manual inspection:
     round-trips and the ≥2x row-overhead gate) dies by a thousand
     cuts: one ``np.packbits`` round-trip or one ``.astype(int64)``
     promotion of a packed array quietly restores the per-row cost.
-    Conversion primitives live in ``repro.hv.packing`` and the
-    bit-slice kernel only.
+    Conversion primitives live in ``repro.hv.packing`` only.
 
 ``RL003`` **async-safety** — the micro-batcher's flush
     (``tests/serving`` batcher bit-parity tests) runs on the event

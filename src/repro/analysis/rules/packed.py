@@ -6,16 +6,11 @@ PRs 1–2 made binary hypervectors flow end to end as uint64 bit-planes:
 operands with **zero pack/unpack round-trips**
 (``tests/encoding/test_packed_path.py`` pins the round-trip-free flow
 and its ≥2x row-overhead gate). A stray ``np.packbits`` /
-``np.unpackbits`` outside the two sanctioned kernels, or an
+``np.unpackbits`` outside :mod:`repro.hv.packing` (the one home of
+the pack/unpack primitives), or an
 ``.astype(np.int64/float64)`` widening of a packed array, silently
 reintroduces the per-row cost the packed path exists to remove — and
 passes every correctness test while doing it.
-
-Sanctioned homes for bit-domain conversion:
-
-* :mod:`repro.hv.packing` — the one place pack/unpack primitives live;
-* :mod:`repro.hv.bitslice` — the carry-save bit-slice kernel, which
-  unpacks planes as part of its contract.
 
 The dtype-promotion check is heuristic by necessity (a linter cannot
 see dtypes): it fires when the receiver expression of an
@@ -34,7 +29,7 @@ from repro.analysis.core import Finding, ModuleContext, Rule, register
 from repro.analysis.rules.common import ImportMap, call_path
 
 #: Modules allowed to call the numpy bit-packing primitives.
-ALLOWED_MODULES = ("repro.hv.packing", "repro.hv.bitslice")
+ALLOWED_MODULES = ("repro.hv.packing",)
 
 _PACK_CALLS = frozenset({"numpy.packbits", "numpy.unpackbits"})
 
@@ -52,11 +47,11 @@ class PackedHygieneRule(Rule):
     title = "packed-path hygiene"
     severity = "error"
     rationale = (
-        "np.packbits/np.unpackbits belong to repro.hv.packing and the "
-        "bit-slice kernel only, and packed word arrays must never be "
-        "promoted to int64/float64: either one silently reintroduces "
-        "the per-row conversion cost the packed hot path (PRs 1-2) "
-        "removed, without failing any correctness test."
+        "np.packbits/np.unpackbits belong to repro.hv.packing only, and "
+        "packed word arrays must never be promoted to int64/float64: "
+        "either one silently reintroduces the per-row conversion cost "
+        "the packed hot path (PRs 1-2) removed, without failing any "
+        "correctness test."
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:

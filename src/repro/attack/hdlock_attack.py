@@ -37,7 +37,6 @@ from repro.errors import AttackError, ConfigurationError
 from repro.hv.packing import hamming_packed, pack_words
 from repro.hv.similarity import cosine_matrix
 from repro.memory.key import LockKey, SubKey
-from repro.utils.rng import SeedLike
 
 
 @dataclass(frozen=True)
@@ -294,7 +293,6 @@ def sweep_parameter(
     layer: int,
     feature: int = 0,
     max_wrong: int | None = None,
-    rng: SeedLike = None,
 ) -> SweepResult:
     """Reproduce one panel of Fig. 5/6.
 
@@ -306,7 +304,6 @@ def sweep_parameter(
     wrong candidates evaluated (evenly strided), keeping full-scale runs
     tractable without changing the conclusion.
     """
-    del rng  # sweeps are deterministic; signature kept uniform
     if parameter not in ("rotation", "index"):
         raise ConfigurationError(
             f"parameter must be 'rotation' or 'index', got {parameter!r}"

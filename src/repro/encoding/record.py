@@ -5,8 +5,8 @@ Feature hypervectors are read directly from an indexed
 whose index mapping the reasoning attack of Sec. 3 recovers. The
 multiply-accumulate of Eq. 2 is compiled once per encoder into an
 :class:`~repro.encoding.engine.EncodingPlan` — a level-major BLAS
-decomposition (or the bit-sliced kernel for non-linear level memories)
-with chunked batches — bit-exact with the per-sample reference loop.
+decomposition with chunked batches, the engine's one kernel for any
+level memory — bit-exact with the per-sample reference loop.
 """
 
 from __future__ import annotations

@@ -12,9 +12,8 @@ Packing matters twice in this reproduction:
   stores :func:`pack_words` rows, and the public-memory footprint in
   :mod:`repro.memory` counts one bit per element.
 * **speed** — the encoding engine binarizes straight into words
-  (:func:`pack_signs`), the classifier and the attack scorers
-  XOR-popcount them one machine word per operation, and
-  :mod:`repro.hv.bitslice` runs its carry-save accumulation over them.
+  (:func:`pack_signs`), and the classifier and the attack scorers
+  XOR-popcount them one machine word per operation.
 
 Every kernel that takes packed operands raises
 :class:`~repro.errors.DimensionMismatchError` unless they are ``uint64``

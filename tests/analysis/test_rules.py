@@ -99,7 +99,6 @@ class TestPackedRule:
     def test_allowed_modules_may_pack(self):
         src = "import numpy as np\nb = np.packbits(np.ones(8, np.uint8))\n"
         assert lint_source(src, "t.py", module="repro.hv.packing") == []
-        assert lint_source(src, "t.py", module="repro.hv.bitslice") == []
         assert rule_ids(lint_source(src, "t.py", module="repro.hv.ops")) == [
             "RL002"
         ]

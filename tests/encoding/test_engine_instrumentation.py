@@ -12,21 +12,11 @@ import numpy as np
 import pytest
 
 from repro.encoding.record import RecordEncoder
-from repro.hv.random import random_pool
-from repro.memory.item_memory import FeatureMemory, LevelMemory
 from repro.obs.metrics import MetricsRegistry
 
 
 def _blas_encoder() -> RecordEncoder:
     return RecordEncoder.random(n_features=13, levels=6, dim=256, rng=424242)
-
-
-def _bitslice_encoder() -> RecordEncoder:
-    # Dense level differences defeat the BLAS decomposition; bipolar
-    # operands route to the bit-sliced kernel.
-    feature = FeatureMemory(random_pool(9, 256, rng=31))
-    level = LevelMemory(random_pool(32, 256, rng=32))
-    return RecordEncoder(feature, level)
 
 
 def _samples(encoder: RecordEncoder, batch: int) -> np.ndarray:
@@ -49,10 +39,7 @@ def _counts(reg: MetricsRegistry, scope: str, path: str) -> tuple[float, float]:
 
 
 class TestCounters:
-    @pytest.mark.parametrize(
-        "factory, path",
-        [(_blas_encoder, "blas"), (_bitslice_encoder, "bitslice")],
-    )
+    @pytest.mark.parametrize("factory, path", [(_blas_encoder, "blas")])
     def test_rows_and_calls_per_kernel_path(self, factory, path):
         encoder = factory()
         assert encoder.plan.mode == path
@@ -89,18 +76,6 @@ class TestCounters:
         # A single-chunk call reuses nothing.
         encoder.plan.accumulate(_samples(encoder, 2), chunk_size=4)
         assert reuse.value(scope="test") == 3
-
-    def test_bitslice_path_never_counts_scratch_reuse(self):
-        encoder = _bitslice_encoder()
-        reg = MetricsRegistry()
-        encoder.plan.instrument(reg, scope="test")
-        encoder.plan.accumulate(_samples(encoder, 10), chunk_size=3)
-        reuse = reg.counter(
-            "repro_encode_scratch_reuse_total",
-            "Chunks that reused the call's existing scratch buffer.",
-            labels=("scope",),
-        )
-        assert reuse.value(scope="test") == 0
 
     def test_empty_batch_records_nothing(self):
         encoder = _blas_encoder()

@@ -7,9 +7,7 @@ speedups so scheduler noise cannot flake them:
 
 * batch engine vs per-sample reference — ~20x measured, gate 5x;
 * fused packed path vs PR 1's dense-binarize-then-pack row overhead —
-  ~2.5x measured, gate 2x;
-* bit-sliced fallback vs the retained per-sample einsum —
-  ~5x measured, gate 2x.
+  ~2.5x measured, gate 2x.
 """
 
 from __future__ import annotations
@@ -22,17 +20,6 @@ import pytest
 from repro.encoding.engine import encode_batch_reference
 from repro.encoding.record import RecordEncoder
 from repro.hv.packing import pack_words
-from repro.hv.random import random_pool
-from repro.memory.item_memory import FeatureMemory, LevelMemory
-
-
-def _best_of(fn, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _best_of_interleaved(fns, rounds: int = 9) -> list[float]:
@@ -169,31 +156,3 @@ def test_packed_row_overhead_reduced_at_least_2x():
         f"{floor_seconds * 1e6 / batch:.0f} us/row matmul floor)"
     )
 
-
-@pytest.mark.slow
-def test_bitslice_fallback_speedup_at_least_2x():
-    """The batched bit-sliced kernel beats the retained per-sample loop.
-
-    Non-linear level memories used to drop to a per-sample integer
-    einsum; they now run the carry-save bit-plane kernel (~5x measured
-    at this shape), bit-exactly.
-    """
-    n_features, levels, dim, batch = 64, 32, 10_000, 128
-    feature = FeatureMemory(random_pool(n_features, dim, rng=2))
-    level = LevelMemory(random_pool(levels, dim, rng=1))
-    encoder = RecordEncoder(feature, level)
-    plan = encoder.plan
-    assert plan.mode == "bitslice"
-    samples = np.random.default_rng(4).integers(0, levels, (batch, n_features))
-
-    got = plan.accumulate(samples)
-    want = plan._accumulate_einsum(samples)
-    np.testing.assert_array_equal(got, want)
-
-    bitslice_seconds = _best_of(lambda: plan.accumulate(samples))
-    reference_seconds = _best_of(lambda: plan._accumulate_einsum(samples))
-    speedup = reference_seconds / bitslice_seconds
-    assert speedup >= 2.0, (
-        f"bit-sliced kernel only {speedup:.1f}x faster than the "
-        f"per-sample einsum reference"
-    )

@@ -3,12 +3,13 @@
 Three properties pin the PR's refactor:
 
 * **parity** — ``encode_batch_packed`` is bit-identical to word-packing
-  the dense binary ``encode_batch`` output, for every plan mode
-  (blas / bitslice / einsum-reference shapes), odd dimensions, chunk
-  boundaries, and the shared sign(0) tie vector;
-* **vectorized fallback** — level memories that used to hit the
-  per-sample einsum loop now run the batched bit-sliced kernel and stay
-  bit-exact against the retained per-sample reference;
+  the dense binary ``encode_batch`` output, for linear and non-linear
+  level memories, odd dimensions, chunk boundaries, and the shared
+  sign(0) tie vector;
+* **one kernel** — non-linear level memories and large magnitudes run
+  the same level-difference BLAS kernel as the paper's linear levels
+  and stay bit-exact against the per-sample reference, dense and
+  packed; bounds no float mantissa holds are refused;
 * **zero round-trips** — binary classifier inference and attack pool
   scoring never call the dense binarize / byte-pack / unpack helpers
   once their caches are warm: encodings flow as uint64 bit-planes from
@@ -23,6 +24,7 @@ import pytest
 import repro.encoding.base as encoding_base
 import repro.model.classifier as classifier_mod
 from repro.encoding.ngram import NGramEncoder
+from repro.encoding.engine import EncodingPlan, encode_batch_reference
 from repro.encoding.oracle import EncodingOracle
 from repro.encoding.record import RecordEncoder
 from repro.errors import ConfigurationError
@@ -45,7 +47,9 @@ def _locked(dim: int):
     ).encoder
 
 
-def _bitslice(dim: int):
+def _nonlinear(dim: int):
+    # Random level hypervectors: dense level differences, no Eq. 1b
+    # structure for the decomposition to exploit.
     feature = FeatureMemory(random_pool(9, dim, rng=31))
     level = LevelMemory(random_pool(32, dim, rng=32))
     return RecordEncoder(feature, level)
@@ -57,7 +61,7 @@ ENCODERS = {
     # Even N: accumulations are even, so sign(0) ties occur.
     "record-even-n": lambda: _record(ODD_DIM, n_features=12),
     "locked-two-layer": lambda: _locked(ODD_DIM),
-    "bitslice-nonlinear-levels": lambda: _bitslice(ODD_DIM),
+    "nonlinear-levels": lambda: _nonlinear(ODD_DIM),
 }
 
 
@@ -87,7 +91,7 @@ class TestPackedParity:
 
     def test_tiny_memory_budget(self, monkeypatch):
         monkeypatch.setattr("repro.encoding.engine.DEFAULT_MEMORY_BUDGET", 1)
-        encoder = ENCODERS["bitslice-nonlinear-levels"]()
+        encoder = ENCODERS["nonlinear-levels"]()
         samples = _samples(encoder, 9)
         got = encoder.encode_batch_packed(samples)
         want = pack_words(encoder.encode_batch(samples, binary=True))
@@ -133,31 +137,43 @@ class TestPackedParity:
 
 
 class TestVectorizedFallback:
-    """The old per-sample einsum fallback now runs batched (bit-sliced)."""
+    """Level memories the decomposition was not built for stay exact.
+
+    They used to fall back to other kernels; now the one BLAS kernel
+    runs them, checked against the per-sample reference, dense and
+    packed.
+    """
+
+    @staticmethod
+    def _assert_matches_reference(encoder, samples, chunk_size=None):
+        lev = encoder.level_memory.matrix
+        fea = encoder.feature_matrix
+        np.testing.assert_array_equal(
+            encoder.plan.accumulate(samples, chunk_size=chunk_size),
+            encode_batch_reference(lev, fea, samples, binary=False),
+        )
+        np.testing.assert_array_equal(
+            encoder.plan.accumulate_packed(samples, chunk_size=chunk_size),
+            pack_words(encode_batch_reference(lev, fea, samples, binary=True)),
+        )
 
     @pytest.mark.parametrize("dim", [64, ODD_DIM, 1027])
     @pytest.mark.parametrize("batch", [1, 7, 33])
     def test_bit_exact_vs_per_sample_reference(self, dim, batch):
-        encoder = _bitslice(dim)
-        assert encoder.plan.mode == "bitslice"
-        samples = _samples(encoder, batch)
-        got = encoder.plan.accumulate(samples)
-        want = encoder.plan._accumulate_einsum(samples)
-        np.testing.assert_array_equal(got, want)
+        encoder = _nonlinear(dim)
+        assert encoder.plan.mode == "blas"
+        self._assert_matches_reference(encoder, _samples(encoder, batch))
 
     @pytest.mark.parametrize("chunk_size", [1, 4, 5, 64])
     def test_chunk_boundaries(self, chunk_size):
-        encoder = _bitslice(ODD_DIM)
-        samples = _samples(encoder, 17)
-        np.testing.assert_array_equal(
-            encoder.plan.accumulate(samples, chunk_size=chunk_size),
-            encoder.plan._accumulate_einsum(samples),
+        encoder = _nonlinear(ODD_DIM)
+        self._assert_matches_reference(
+            encoder, _samples(encoder, 17), chunk_size=chunk_size
         )
 
-    def test_einsum_reference_mode_retained_for_nonbipolar(self):
-        # Magnitude-2 level entries defeat both the float bound at this
-        # scale and the bipolar gate, so the exact per-sample loop stays
-        # reachable (and is what the plan falls back to).
+    def test_large_magnitudes_run_exact_float64_blas(self):
+        # Level entries of magnitude 2**28 push the accumulation bound
+        # past a float32 mantissa but well inside float64's.
         dim = 64
         gen = np.random.default_rng(8)
         level = LevelMemory(
@@ -165,12 +181,16 @@ class TestVectorizedFallback:
         )
         feature = FeatureMemory(random_pool(6, dim, rng=9))
         encoder = RecordEncoder(feature, level)
-        assert encoder.plan.mode == "einsum"
-        samples = _samples(encoder, 5)
-        np.testing.assert_array_equal(
-            encoder.plan.accumulate(samples),
-            encoder.plan._accumulate_einsum(samples),
-        )
+        assert encoder.plan.mode == "blas"
+        assert encoder.plan._float_dtype == np.float64
+        self._assert_matches_reference(encoder, _samples(encoder, 5))
+
+    def test_bound_beyond_float64_mantissa_refused(self):
+        # 9 * 2**50 * (1 + 2 * 31) >= 2**53: no float holds it exactly.
+        level = random_pool(32, 64, rng=32).astype(np.int64) * 2**50
+        feature = random_pool(9, 64, rng=31)
+        with pytest.raises(ConfigurationError, match=r"2\*\*53"):
+            EncodingPlan(level, feature)
 
 
 class TestZeroRoundTrips:
