@@ -44,9 +44,9 @@ Packed end-to-end flow
 The binary hot path never leaves the packed bit domain. Record encoders
 fuse ``encode_batch_packed(samples)``, the packed form of the binary
 ``encode_batch``, into the engine: accumulations stream through one
-reused float scratch buffer per call and binarize *in place* into
-uint64 bit-planes via :func:`repro.hv.packing.pack_signs` — no int64
-batch, no int8 sign matrix, no separate pack pass. Downstream consumers
+reused float scratch buffer per call, binarize to sign bits and pack
+into uint64 bit-planes via :func:`repro.hv.packing.pack_bits` — no
+int64 batch, no int8 sign matrix, no separate pack pass. Downstream consumers
 keep those words as is: :class:`~repro.model.classifier.HDClassifier`
 XOR-popcounts packed queries against its cached packed class memory
 (``predict``/``fit``/``retrain`` pack at most once per training

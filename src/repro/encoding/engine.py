@@ -26,6 +26,17 @@ built on two observations:
   stays exact on the same kernel; its denser supports only cost more
   arithmetic (up to ``M - 1`` full passes), which no workload pays.
 
+* **Contiguous supports.** A support is a random set of coordinates, so
+  adding a level's contribution at its support in place is a
+  fancy-index scatter that costs more than the matmul that produced it.
+  The plan instead reorders the ``D`` axis once, at construction, so
+  every level's support is one contiguous block, in level order, then
+  the untouched coordinates. Each level adds into a basic slice of a
+  permuted buffer, and one gather per chunk restores the original
+  column order. Overlapping supports (non-linear level memories) stay
+  exact: a coordinate an earlier level already placed is added onto
+  that slot through an index array — linear memories have none.
+
 * **Exact small-integer float arithmetic.** Every intermediate value is
   an integer bounded by ``N * max|Fea| * (max|ValHV[0]| + (M - 1) *
   max|dVal|)``. Below 2^24 the plan computes in float32, below 2^53 in
@@ -39,14 +50,17 @@ D)`` accumulator plus the ``(chunk, N)`` indicator and the largest
 ``(chunk, |support|)`` contribution tile — stays inside
 :data:`DEFAULT_MEMORY_BUDGET`, so paper-scale encodes stream through
 cache instead of materializing the ``(B, N, D)`` gather. One float
-scratch buffer per call serves every chunk.
+scratch buffer per call serves every chunk, and each chunk is restored
+to the original column order :data:`RESTORE_ROWS` rows at a time, so the
+restore temporaries never grow with the chunk.
 
-:meth:`EncodingPlan.accumulate` casts each chunk into an int64 batch;
-:meth:`EncodingPlan.accumulate_packed` is the fused binary path:
-base-init, scatter-add and binarize collapse into a minimal number of
-``D``-passes, and the signs (with the fixed sign(0) tie vector) write
-directly into packed uint64 bit-planes via
-:func:`repro.hv.packing.pack_signs`. Both share one chunk loop, so no
+:meth:`EncodingPlan.accumulate` gathers each block back to the original
+column order and casts it into the int64 batch;
+:meth:`EncodingPlan.accumulate_packed` is the fused binary path: it
+binarizes the permuted buffer against the permuted sign(0) tie vector,
+gathers the sign bits (one byte per coordinate, the cheapest dtype to
+move) and packs them into uint64 bit-planes via
+:func:`repro.hv.packing.pack_bits`. Both share one chunk loop, so no
 ``(B, D)`` int64 cast, int8 sign matrix or re-pack ever materializes on
 the packed path.
 
@@ -67,14 +81,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.hv.ops import ACCUM_DTYPE, BIPOLAR_DTYPE, sign
-from repro.hv.packing import PACKED_WORD_DTYPE, pack_signs, packed_word_width
+from repro.hv.ops import ACCUM_DTYPE, BIPOLAR_DTYPE, sign, sign_bits, tie_bits
+from repro.hv.packing import PACKED_WORD_DTYPE, pack_bits, packed_word_width
 
 #: Default cap on the engine's per-chunk float working set (bytes).
 #: 128 MiB keeps a D = 10,000 encode in ~1,500-row chunks — large enough
 #: to amortize BLAS call overhead, small enough to coexist with the
 #: caller's own arrays on a laptop-class machine.
 DEFAULT_MEMORY_BUDGET = 128 * 1024 * 1024
+
+
+#: Rows per block when a chunk is restored to the original column order:
+#: small enough that the gather's temporaries stay cache-resident, large
+#: enough that the per-block call overhead vanishes.
+RESTORE_ROWS = 16
 
 
 def resolve_chunk_size(
@@ -118,17 +138,8 @@ class EncodingPlan:
         self.dim = int(lev.shape[1])
 
         diffs = lev[1:].astype(np.int64) - lev[:-1].astype(np.int64)
-        self.supports = [np.flatnonzero(diffs[m]) for m in range(self.levels - 1)]
-
         max_fea = int(np.abs(fea).max(initial=0))
-        max_dval = max(
-            (
-                int(np.abs(diffs[m, s]).max())
-                for m, s in enumerate(self.supports)
-                if s.size
-            ),
-            default=0,
-        )
+        max_dval = int(np.abs(diffs).max(initial=0))
         max_lev0 = int(np.abs(lev[0]).max(initial=0))
         # Worst-case magnitude of any partial accumulation: the base term
         # plus every level-difference contribution at full strength.
@@ -147,19 +158,63 @@ class EncodingPlan:
         #: None keeps the hot path at a single attribute check.
         self._obs: tuple | None = None
 
-        fea_float = fea.astype(dt)
-        # Per-step column slices of the feature matrix and the matching
-        # level-difference rows, both restricted to the support. For a
-        # linear level memory these total N x D/2 floats — cached once
-        # instead of re-gathered per call.
-        self._fea_cols = [fea_float[:, s] for s in self.supports]
+        # Each level's support lists first the coordinates no earlier
+        # level touched ("fresh"), then the ones it revisits. Linear
+        # level memories have disjoint supports, so nothing is revisited.
+        touched = np.zeros(self.dim, dtype=bool)
+        fresh_parts, revisit_parts = [], []
+        for step in diffs:
+            support = np.flatnonzero(step)
+            seen = touched[support]
+            fresh_parts.append(support[~seen])
+            revisit_parts.append(support[seen])
+            touched[support] = True
+        self.supports = [
+            np.concatenate(parts) for parts in zip(fresh_parts, revisit_parts)
+        ]
+        # The kernel works on a permuted D axis: every level's fresh
+        # coordinates as one contiguous block, in level order, then the
+        # coordinates no level touches. ``_inv`` restores the original
+        # order; ``_ties`` is the sign(0) tie vector in permuted order.
+        perm = np.concatenate(fresh_parts + [np.flatnonzero(~touched)])
+        self._inv = np.argsort(perm)
+        self._ties = tie_bits(self.dim)[perm]
+
+        # The feature columns of all supports, gathered once on the
+        # integer matrix and cast into one float buffer that holds each
+        # step's (N, |support|) block contiguously: BLAS streams small
+        # batches through a contiguous operand several times faster than
+        # through a column view. For a linear level memory these total
+        # N x D/2 floats. ``supports``, ``_fea_cols``, ``_dval_rows``
+        # and ``_base`` all index the original D axis.
+        n = self.n_features
+        edges = np.cumsum([0] + [s.size for s in self.supports])
+        gathered = fea[:, np.concatenate([perm[:0], *self.supports])]  # M = 1: none
+        flat = np.empty(n * int(edges[-1]), dtype=dt)
+        self._fea_cols = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            cols = flat[n * a : n * b].reshape(n, b - a)
+            cols[...] = gathered[:, a:b]
+            self._fea_cols.append(cols)
         self._dval_rows = [diffs[m, s].astype(dt) for m, s in enumerate(self.supports)]
         base = fea.sum(axis=0, dtype=np.int64) * lev[0].astype(np.int64)
         self._base = base.astype(dt)
+        self._perm_base = self._base[perm]
+        # Where step m's contribution lands in the permuted buffer: its
+        # fresh block is the basic slice ``[start, start + len(fresh))``;
+        # a revisit adds onto the slot its coordinate took at the earlier
+        # step that first touched it.
+        starts = np.cumsum([0] + [f.size for f in fresh_parts])
+        self._slots = [
+            (int(start), int(fresh.size), self._inv[revisit])
+            for start, fresh, revisit in zip(starts, fresh_parts, revisit_parts)
+        ]
         max_support = max((int(s.size) for s in self.supports), default=0)
-        # accumulator (D) + indicator (N) + contribution tile (|support|,
-        # counted twice: the matmul result and the scaled copy) per row.
-        self._row_bytes = (self.dim + self.n_features + 2 * max_support) * dt.itemsize
+        # accumulator (D) + indicator (N) + contribution tile (|support|)
+        # per row. The restore temporaries (the float gather on the dense
+        # path; the sign planes and their bool gather on the packed path)
+        # cover RESTORE_ROWS rows at a time, whatever the chunk.
+        self._row_bytes = (self.dim + self.n_features + max_support) * dt.itemsize
 
     # ------------------------------------------------------------------
     # instrumentation
@@ -212,16 +267,28 @@ class EncodingPlan:
     # ------------------------------------------------------------------
 
     def _accumulate_blas_into(self, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Base-init + scatter-add fused into the float buffer ``out``."""
-        np.copyto(out, self._base)
-        for m in range(1, self.levels):
-            support = self.supports[m - 1]
-            if support.size == 0:
+        """Base-init + one basic-slice add per level into the permuted ``out``.
+
+        ``out`` holds the accumulations in the plan's permuted column
+        order; only revisited coordinates (non-linear level memories)
+        are added through an index array.
+        """
+        np.copyto(out, self._perm_base)
+        # Levels fit the narrowest unsigned dtype, so the M - 1 threshold
+        # passes read a byte per sample and write one reused buffer.
+        levels = samples.astype(np.min_scalar_type(self.levels - 1))
+        indicator = np.empty(samples.shape, dtype=self._float_dtype)
+        for m, (cols, dval, (start, n_fresh, revisit)) in enumerate(
+            zip(self._fea_cols, self._dval_rows, self._slots), start=1
+        ):
+            if cols.shape[1] == 0:
                 continue
-            indicator = (samples >= m).astype(self._float_dtype)
-            contribution = indicator @ self._fea_cols[m - 1]
-            contribution *= self._dval_rows[m - 1]
-            out[:, support] += contribution
+            np.greater_equal(levels, m, out=indicator)
+            contribution = indicator @ cols
+            contribution *= dval
+            out[:, start : start + n_fresh] += contribution[:, :n_fresh]
+            if revisit.size:
+                out[:, revisit] += contribution[:, n_fresh:]
         return out
 
     def _run(
@@ -233,13 +300,14 @@ class EncodingPlan:
         scratch buffer — allocated once and reused by every chunk, but
         scoped to the call, so nothing pins chunk-sized memory to the
         plan and concurrent calls on one encoder never share a buffer.
-        Each chunk of exact small integers is then cast into the int64
-        output or binarized into the packed output.
+        Each chunk of exact small integers is then restored to the
+        original column order, block by block: the float accumulations
+        are gathered into the int64 output, or their sign bits (on the
+        cheaper bool dtype) are gathered and then packed.
         """
         n_rows = int(samples.shape[0])
         if packed:
-            shape = (n_rows, packed_word_width(self.dim))
-            out = np.zeros(shape, dtype=PACKED_WORD_DTYPE)
+            out = np.empty((n_rows, packed_word_width(self.dim)), PACKED_WORD_DTYPE)
         else:
             out = np.empty((n_rows, self.dim), dtype=ACCUM_DTYPE)
         if n_rows == 0:
@@ -251,10 +319,18 @@ class EncodingPlan:
             accums = self._accumulate_blas_into(
                 samples[start:stop], scratch[: stop - start]
             )
-            if packed:
-                pack_signs(accums, out=out[start:stop])
-            else:
-                out[start:stop] = accums
+            # Restore in row blocks, so the gather's temporaries stay
+            # small and cache-resident instead of chunk-sized. ``_inv``
+            # is a permutation of range(D): no index needs the bounds
+            # check that mode="clip" skips.
+            for first in range(0, stop - start, RESTORE_ROWS):
+                block = accums[first : first + RESTORE_ROWS]
+                dest = out[start + first : start + first + block.shape[0]]
+                if packed:
+                    bits = sign_bits(block, ties=self._ties)
+                    pack_bits(bits.take(self._inv, axis=1, mode="clip"), dest)
+                else:
+                    dest[...] = block.take(self._inv, axis=1, mode="clip")
         if self._obs is not None:
             self._record_call(n_rows, chunk)
         return out

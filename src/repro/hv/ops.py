@@ -171,21 +171,24 @@ def tie_bits(dim: int) -> np.ndarray:
     return bits
 
 
-def sign_bits(accums: np.ndarray) -> np.ndarray:
+def sign_bits(accums: np.ndarray, ties: np.ndarray | None = None) -> np.ndarray:
     """Eq. 3 as bits (``+1 -> True``) of accumulations of shape ``(..., D)``.
 
     ``bit = acc > 0 | (acc == 0 & tie_bits(D))``: the one owner of the
     binarization rule, shared by :func:`sign`, the encoders' dense
     :func:`~repro.encoding.engine.binarize_batch` and the fused
-    :func:`~repro.hv.packing.pack_signs`.
+    :func:`~repro.hv.packing.pack_signs`. ``ties`` replaces
+    ``tie_bits(D)`` for accumulations stored in another coordinate
+    order: the encoding engine binarizes its permuted buffer against
+    ``tie_bits(D)[perm]``.
     """
     arr = np.asarray(accums)
     if arr.ndim == 0:
         raise DimensionMismatchError("sign_bits needs at least one axis, got a scalar")
     bits = arr > 0
-    ties = arr == 0
-    ties &= tie_bits(arr.shape[-1])
-    bits |= ties
+    zeros = arr == 0
+    zeros &= tie_bits(arr.shape[-1]) if ties is None else ties
+    bits |= zeros
     return bits
 
 

@@ -51,12 +51,31 @@ def pack_words(hvs: np.ndarray) -> np.ndarray:
     zero-padded to a word boundary and viewed 64 bits at a time, so
     XOR + popcount runs one machine word per operation.
     """
-    arr = np.asarray(hvs)
-    byte_rows = np.packbits(arr > 0, axis=-1)
-    width = packed_word_width(arr.shape[-1])
-    out_bytes = np.zeros(arr.shape[:-1] + (width * 8,), dtype=np.uint8)
+    return pack_bits(np.asarray(hvs) > 0)
+
+
+def pack_bits(bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pack bool bits of shape ``(..., D)`` into the uint64 word layout.
+
+    The one writer of the layout: :func:`numpy.packbits` bytes along the
+    last axis, zero-padded to a word boundary. ``out`` may supply the
+    ``(..., ceil(D/64))`` uint64 destination, e.g. a chunk of rows of a
+    larger batch output.
+    """
+    arr = np.asarray(bits)
+    shape = arr.shape[:-1] + (packed_word_width(arr.shape[-1]),)
+    if out is None:
+        out = np.empty(shape, dtype=PACKED_WORD_DTYPE)
+    elif out.shape != shape or out.dtype != PACKED_WORD_DTYPE:
+        raise DimensionMismatchError(
+            f"out buffer must be {shape} {np.dtype(PACKED_WORD_DTYPE)}, "
+            f"got {out.shape} {out.dtype}"
+        )
+    byte_rows = np.packbits(arr, axis=-1)
+    out_bytes = out.view(np.uint8)
     out_bytes[..., : byte_rows.shape[-1]] = byte_rows
-    return out_bytes.view(PACKED_WORD_DTYPE)
+    out_bytes[..., byte_rows.shape[-1] :] = 0
+    return out
 
 
 @functools.lru_cache(maxsize=WORD_BITS)
@@ -125,20 +144,7 @@ def pack_signs(accums: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         raise DimensionMismatchError(
             f"pack_signs takes a (B, D) accumulator batch, got {arr.shape}"
         )
-    bits = sign_bits(arr)
-    width = packed_word_width(arr.shape[1])
-    if out is None:
-        out = np.zeros((arr.shape[0], width), dtype=PACKED_WORD_DTYPE)
-    else:
-        if out.shape != (arr.shape[0], width) or out.dtype != PACKED_WORD_DTYPE:
-            raise DimensionMismatchError(
-                f"out buffer must be ({arr.shape[0]}, {width}) "
-                f"{PACKED_WORD_DTYPE().dtype}, got {out.shape} {out.dtype}"
-            )
-        out[:] = 0
-    byte_rows = np.packbits(bits, axis=-1)
-    out.view(np.uint8)[:, : byte_rows.shape[1]] = byte_rows
-    return out
+    return pack_bits(sign_bits(arr), out)
 
 
 def hamming_packed(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray | float:

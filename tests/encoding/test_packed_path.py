@@ -1,6 +1,6 @@
 """End-to-end tests of the fused packed-domain hot path.
 
-Three properties pin the PR's refactor:
+Four properties pin the packed hot path:
 
 * **parity** — ``encode_batch_packed`` is bit-identical to word-packing
   the dense binary ``encode_batch`` output, for linear and non-linear
@@ -10,6 +10,11 @@ Three properties pin the PR's refactor:
   the same level-difference BLAS kernel as the paper's linear levels
   and stay bit-exact against the per-sample reference, dense and
   packed; bounds no float mantissa holds are refused;
+* **permuted layout** — the plan's contiguous-support column order is
+  invisible: at plan edges (one level, two levels, an empty level step,
+  overlapping non-linear supports, sign(0) ties) and ragged chunks, the
+  plan matches the per-sample reference, and its support attributes
+  keep their original-column meaning;
 * **zero round-trips** — binary classifier inference and attack pool
   scoring never call the dense binarize / byte-pack / unpack helpers
   once their caches are warm: encodings flow as uint64 bit-planes from
@@ -18,13 +23,19 @@ Three properties pin the PR's refactor:
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import repro.encoding.base as encoding_base
 import repro.model.classifier as classifier_mod
 from repro.encoding.ngram import NGramEncoder
-from repro.encoding.engine import EncodingPlan, encode_batch_reference
+from repro.encoding.engine import (
+    RESTORE_ROWS,
+    EncodingPlan,
+    encode_batch_reference,
+)
 from repro.encoding.oracle import EncodingOracle
 from repro.encoding.record import RecordEncoder
 from repro.errors import ConfigurationError
@@ -191,6 +202,98 @@ class TestVectorizedFallback:
         feature = random_pool(9, 64, rng=31)
         with pytest.raises(ConfigurationError, match=r"2\*\*53"):
             EncodingPlan(level, feature)
+
+
+def _empty_step() -> tuple[np.ndarray, np.ndarray]:
+    levels = random_pool(5, ODD_DIM, rng=41)
+    levels[2] = levels[1]  # step 2 changes no coordinate
+    return levels, random_pool(9, ODD_DIM, rng=42)
+
+
+def _linear_even_n() -> tuple[np.ndarray, np.ndarray]:
+    encoder = _record(ODD_DIM, n_features=12)
+    return encoder.level_memory.matrix, encoder.feature_matrix
+
+
+PLAN_CASES = {
+    "one-level": lambda: (
+        random_pool(1, ODD_DIM, rng=43),
+        random_pool(9, ODD_DIM, rng=44),
+    ),
+    "two-levels": lambda: (
+        random_pool(2, ODD_DIM, rng=45),
+        random_pool(9, ODD_DIM, rng=46),
+    ),
+    "empty-step": _empty_step,
+    # Even N: accumulations are even, so sign(0) ties occur.
+    "linear-even-n": _linear_even_n,
+    # Random levels: every support overlaps the earlier ones.
+    "nonlinear-overlap": lambda: (
+        random_pool(8, ODD_DIM, rng=47),
+        random_pool(10, ODD_DIM, rng=48),
+    ),
+}
+
+
+class TestPermutedLayout:
+    """The plan reorders the D axis; nothing outside it can tell."""
+
+    @pytest.mark.parametrize("name", sorted(PLAN_CASES))
+    @pytest.mark.parametrize("chunk_size", [1, 4, 5, None])
+    def test_matches_reference(self, name, chunk_size):
+        lev, fea = PLAN_CASES[name]()
+        plan = EncodingPlan(lev, fea)
+        gen = np.random.default_rng(9)
+        # More rows than RESTORE_ROWS, not a multiple of it: one default
+        # chunk restores in several blocks, the last one ragged.
+        rows = 2 * RESTORE_ROWS + 5
+        samples = gen.integers(0, lev.shape[0], size=(rows, fea.shape[0]))
+        want = encode_batch_reference(lev, fea, samples, binary=False)
+        np.testing.assert_array_equal(plan.accumulate(samples, chunk_size), want)
+        np.testing.assert_array_equal(
+            plan.accumulate_packed(samples, chunk_size),
+            pack_words(encode_batch_reference(lev, fea, samples, binary=True)),
+        )
+
+    def test_cases_reach_ties_and_overlaps(self):
+        lev, fea = PLAN_CASES["linear-even-n"]()
+        samples = np.random.default_rng(9).integers(0, lev.shape[0], (13, 12))
+        assert (encode_batch_reference(lev, fea, samples, binary=False) == 0).any()
+        supports = EncodingPlan(*PLAN_CASES["nonlinear-overlap"]()).supports
+        assert sum(s.size for s in supports) > np.unique(np.concatenate(supports)).size
+        assert EncodingPlan(*PLAN_CASES["empty-step"]()).supports[1].size == 0
+        assert EncodingPlan(*PLAN_CASES["one-level"]()).supports == []
+
+    @pytest.mark.parametrize("name", sorted(PLAN_CASES))
+    def test_support_attributes_keep_original_columns(self, name):
+        # The slow row-overhead gate rebuilds the unpermuted kernel from
+        # these attributes, so each must index the original D axis.
+        lev, fea = PLAN_CASES[name]()
+        plan = EncodingPlan(lev, fea)
+        diffs = np.diff(lev.astype(np.int64), axis=0)
+        assert len(plan.supports) == lev.shape[0] - 1
+        for m, support in enumerate(plan.supports):
+            np.testing.assert_array_equal(np.sort(support), np.flatnonzero(diffs[m]))
+            np.testing.assert_array_equal(plan._fea_cols[m], fea[:, support])
+            np.testing.assert_array_equal(plan._dval_rows[m], diffs[m, support])
+        np.testing.assert_array_equal(
+            plan._base, fea.sum(axis=0, dtype=np.int64) * lev[0]
+        )
+
+    def test_plan_memory_stays_bounded(self):
+        # The feature columns of every support, stored once: N x D/2
+        # float32 is 3.06 MiB at the MNIST shape. A second copy of them
+        # (or of the full feature matrix) breaks the bound.
+        encoder = RecordEncoder.random(784, levels=16, dim=2048, rng=5)
+        lev, fea = encoder.level_memory.matrix, encoder.feature_matrix
+        tracemalloc.start()
+        try:
+            plan = EncodingPlan(lev, fea)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert plan.levels == 16
+        assert retained <= 3.5 * 2**20, f"plan retains {retained / 2**20:.2f} MiB"
 
 
 class TestZeroRoundTrips:

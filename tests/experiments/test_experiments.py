@@ -18,7 +18,14 @@ from repro.experiments.fig56 import PANEL_ORDER, render_fig56, run_fig5, run_fig
 from repro.experiments.fig7 import mnist_checkpoints, render_fig7, run_fig7
 from repro.experiments.fig8 import render_fig8, run_fig8
 from repro.experiments.fig9 import render_fig9, run_fig9
-from repro.experiments.table1 import render_table1, run_table1
+import repro.experiments.table1 as table1_mod
+from repro.attack.pipeline import run_reasoning_attack
+from repro.attack.reconstruct import evaluate_theft
+from repro.attack.threat_model import expose_model
+from repro.data.benchmarks import load_benchmark
+from repro.encoding.record import RecordEncoder
+from repro.experiments.table1 import recovered_accuracy, render_table1, run_table1
+from repro.model.train import train_model
 
 
 class TestConfig:
@@ -165,6 +172,45 @@ class TestTable1:
         assert row.feature_mapping_accuracy == 1.0
         assert abs(row.original_accuracy - row.recovered_accuracy) < 0.15
         assert row.oracle_queries == 27 + 1  # one per feature + value step
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_byte_equal_clone_reuses_victim_score(self, test_scale, binary):
+        # A clone with the victim's memories is the victim's model, so
+        # skipping its training gives evaluate_theft's accuracy exactly.
+        dataset = load_benchmark("pamap", rng=3, sample_scale=test_scale.sample_scale)
+        victim = RecordEncoder.random(
+            dataset.n_features, dataset.levels, test_scale.dim, rng=4
+        )
+        accuracy = train_model(
+            victim,
+            dataset.train_x,
+            dataset.train_y,
+            n_classes=dataset.n_classes,
+            binary=binary,
+            retrain_epochs=test_scale.retrain_epochs,
+        ).model.score(dataset.test_x, dataset.test_y)
+        surface, _ = expose_model(victim, binary=binary, rng=5)
+        result = run_reasoning_attack(surface)
+        args = (surface, result, dataset)
+        kwargs = dict(binary=binary, retrain_epochs=test_scale.retrain_epochs)
+        recovered, retrained = recovered_accuracy(victim, accuracy, *args, **kwargs)
+        assert not retrained
+        theft, _ = evaluate_theft(accuracy, *args, **kwargs)
+        assert recovered == theft.recovered_accuracy
+
+    def test_clone_with_swapped_features_is_retrained(self, test_scale, monkeypatch):
+        def swap_two_features(surface):
+            result = run_reasoning_attack(surface)
+            assignment = result.feature.assignment.copy()
+            assignment[[0, 1]] = assignment[[1, 0]]
+            feature = replace(result.feature, assignment=assignment)
+            return replace(result, feature=feature)
+
+        kwargs = dict(benchmarks=("pamap",), scale=test_scale, seed=9)
+        assert not any(row.clone_retrained for row in run_table1(**kwargs))
+        monkeypatch.setattr(table1_mod, "run_reasoning_attack", swap_two_features)
+        rows = run_table1(**kwargs)
+        assert [row.clone_retrained for row in rows] == [True, True]
 
     def test_render(self, test_scale):
         rows = run_table1(
