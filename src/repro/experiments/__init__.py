@@ -2,10 +2,11 @@
 
 Each module returns structured result dataclasses with a stable
 ``to_dict()``/``from_dict()`` schema; rendering to the paper-style text
-tables is a separate formatter. :mod:`repro.experiments.runner` fans the
-modules out over worker processes and writes them as deterministic JSON
-artifacts (see :mod:`repro.experiments.records`), deduplicating shared
-inputs through :mod:`repro.experiments.cache`.
+tables is a separate formatter. :mod:`repro.experiments.runner` runs the
+modules in its own process or fans them out over worker processes, and
+writes them as deterministic JSON artifacts (see
+:mod:`repro.experiments.records`), deduplicating shared inputs through
+:mod:`repro.experiments.cache`.
 """
 
 from repro.experiments.ablations import AblationsResult, run_ablations

@@ -23,11 +23,15 @@ Flags:
     ``--jobs`` setting. (Fig. 5 and Fig. 6 share one child seed on
     purpose: they evaluate the same deployed system under two criteria.)
 ``--jobs N``
-    Number of worker processes. Experiments always execute in spawned
-    workers (also for ``--jobs 1``) so numeric results cannot depend on
-    the parallelism level; wall clocks are measured inside the worker
-    that ran the experiment, keeping reasoning-time numbers honest under
-    concurrency.
+    Number of worker processes. When only one worker would run (``--jobs
+    1``, or a selection with a single work unit) the units run one after
+    another in the runner's own process, with no pool to spawn and no
+    second import; two or more workers mean a spawn-based process pool.
+    Numeric results do not depend on the layout: every GEMM on the
+    suite's path multiplies integer-valued float64 operands, so it is
+    exact whatever the BLAS thread count (the jobs-parity test pins
+    this). Wall clocks are measured around each unit in the process that
+    ran it, keeping reasoning-time numbers honest under concurrency.
 ``--format text|json|csv``
     ``text`` prints the paper-style tables; ``json`` prints one
     canonical JSON document with every record plus per-experiment
@@ -56,7 +60,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from contextvars import Context
 from dataclasses import dataclass
 from multiprocessing import get_context
 from pathlib import Path
@@ -391,8 +396,8 @@ def _execute_shard(
 ) -> ShardOutcome:
     """Run one work unit (in whatever process this is called from).
 
-    The wall clock is measured inside the worker, around exactly this
-    unit's computation on this core — reasoning-time numbers stay honest
+    The wall clock is measured in the process running the unit, around
+    exactly this unit's computation — reasoning-time numbers stay honest
     no matter how many sibling units run concurrently. Each unit also
     records a trace span (named ``<experiment>`` or
     ``<experiment>/<shard>``); spans travel back as dicts and end up in
@@ -464,17 +469,6 @@ def _assemble(
     return ExperimentOutcome(record=record, rendered=rendered)
 
 
-def _execute(
-    name: str,
-    scale: ExperimentScale,
-    root_seed: int,
-    cache_dir: str | None,
-) -> ExperimentOutcome:
-    """Run one whole experiment in this process (library/compat path)."""
-    outcome = _execute_shard(name, None, scale, root_seed, cache_dir)
-    return _assemble(name, scale, root_seed, [None], [outcome])
-
-
 def run_experiments(
     names: list[str] | None = None,
     scale: ExperimentScale | None = None,
@@ -483,29 +477,48 @@ def run_experiments(
 ) -> dict[str, str]:
     """Run the named experiments in-process (all when ``names`` is None).
 
-    Library-facing convenience kept for compatibility: returns rendered
-    text keyed by experiment name and raises :class:`KeyError` on
-    unknown names. The CLI path goes through worker processes instead.
+    Library-facing convenience on the same in-process unit loop as the
+    CLI's ``--jobs 1``: returns rendered text keyed by experiment name,
+    raises :class:`KeyError` on unknown names and re-raises the first
+    failed experiment's exception.
     """
     cfg = scale or active_scale()
     selected = normalize_names(",".join(names) if names else None)
-    return {
-        name: _execute(name, cfg, seed, cache_dir).rendered
-        for name in selected
-    }
+    outcomes, errors = _run_pool(selected, cfg, seed, cache_dir, jobs=1)
+    if errors:
+        raise next(iter(errors.values()))
+    return {name: outcomes[name].rendered for name in selected}
 
 
 def _pin_worker_blas_threads() -> None:
     """Single-thread the BLAS pools of spawned workers.
 
-    Set before the executor starts so freshly spawned interpreters load
-    numpy with one BLAS thread regardless of ``--jobs``: per-experiment
-    numbers stay bitwise identical at every parallelism level, and N
-    workers do not oversubscribe N cores with N x T BLAS threads.
+    Called only when a process pool is about to start, so freshly
+    spawned interpreters load numpy with one BLAS thread and N workers
+    do not oversubscribe N cores with N x T BLAS threads. In-process
+    runs never call it and leave the caller's environment as it was.
     Explicit user settings win (``setdefault``).
     """
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
+
+
+class _InProcessExecutor(Executor):
+    """Runs each submitted unit at once, in this process.
+
+    Each unit runs in an empty :class:`contextvars.Context`, so its
+    span is a root exactly as in a freshly spawned worker.
+    """
+
+    def submit(
+        self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any
+    ) -> Future[Any]:
+        future: Future[Any] = Future()
+        try:
+            future.set_result(Context().run(fn, *args, **kwargs))
+        except Exception as exc:  # delivered by future.result(), as on the pool
+            future.set_exception(exc)
+        return future
 
 
 def _run_pool(
@@ -514,16 +527,19 @@ def _run_pool(
     seed: int,
     cache_dir: str | None,
     jobs: int,
-) -> tuple[dict[str, ExperimentOutcome], dict[str, str]]:
-    """Execute ``pending`` on a spawn-based process pool.
+) -> tuple[dict[str, ExperimentOutcome], dict[str, Exception]]:
+    """Execute ``pending``'s work units, in-process when one worker would do.
 
-    Sharded experiments fan out one future per work unit so a single
-    heavyweight experiment (Table 1 at full scale) cannot serialize the
-    suite on its own. Returns ``(outcomes, errors)`` keyed by
-    experiment name.
+    With ``min(jobs, units) == 1`` the units run one after another in
+    this process (:class:`_InProcessExecutor`); two or more workers mean
+    a spawn-based process pool. Sharded experiments submit one unit per
+    shard so a single heavyweight experiment (Table 1 at full scale)
+    cannot serialize the suite on its own. Returns ``(outcomes,
+    errors)`` keyed by experiment name; ``errors`` holds each failed
+    experiment's first exception.
     """
     outcomes: dict[str, ExperimentOutcome] = {}
-    errors: dict[str, str] = {}
+    errors: dict[str, Exception] = {}
     if not pending:
         return outcomes, errors
     shard_lists = {
@@ -534,12 +550,15 @@ def _run_pool(
         )
         for name in pending
     }
-    _pin_worker_blas_threads()
     units = sum(len(shards) for shards in shard_lists.values())
     workers = min(jobs, units)
-    with ProcessPoolExecutor(
-        max_workers=workers, mp_context=get_context("spawn")
-    ) as pool:
+    pool: Executor = _InProcessExecutor()
+    if workers > 1:
+        _pin_worker_blas_threads()
+        pool = ProcessPoolExecutor(
+            max_workers=workers, mp_context=get_context("spawn")
+        )
+    with pool:
         futures = {
             name: [
                 pool.submit(_execute_shard, name, shard, scale, seed, cache_dir)
@@ -549,12 +568,12 @@ def _run_pool(
         }
         for name, shard_futures in futures.items():
             shard_outcomes: list[ShardOutcome] = []
-            failure: str | None = None
+            failure: Exception | None = None
             for future in shard_futures:
                 try:
                     shard_outcomes.append(future.result())
                 except Exception as exc:  # worker died or shard raised
-                    failure = failure or f"{type(exc).__name__}: {exc}"
+                    failure = failure or exc
             if failure is not None:
                 errors[name] = failure
                 continue
@@ -563,7 +582,7 @@ def _run_pool(
                     name, scale, seed, shard_lists[name], shard_outcomes
                 )
             except Exception as exc:
-                errors[name] = f"{type(exc).__name__}: {exc}"
+                errors[name] = exc
     return outcomes, errors
 
 
@@ -582,6 +601,8 @@ def _write_manifest(
         "env": environment_provenance(),
         "experiments": statuses,
     }
+    # No artifact may have created the directory when every run failed.
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.json"
     path.write_text(canonical_json(manifest), encoding="utf-8")
     return path
@@ -669,9 +690,8 @@ def main(argv: list[str] | None = None) -> int:
                 skipped[name] = path
     pending = [n for n in names if n not in skipped]
 
-    outcomes, errors = _run_pool(
-        pending, scale, args.seed, cache_dir, args.jobs
-    )
+    outcomes, failures = _run_pool(pending, scale, args.seed, cache_dir, args.jobs)
+    errors = {name: f"{type(exc).__name__}: {exc}" for name, exc in failures.items()}
 
     statuses: dict[str, dict[str, Any]] = {}
     for name in names:

@@ -13,9 +13,10 @@ context in two :class:`contextvars.ContextVar` slots:
 
 Spans measure with ``time.perf_counter`` (monotonic) and record into a
 plain :class:`SpanRecorder` — a list of picklable dicts, deliberately
-shaped so the experiment runner can ship a shard's spans back through
-the spawn-based process pool and file them under the manifest's
-*volatile* ``timing`` section. Artifacts never see them, which is what
+shaped so the experiment runner can file a shard's spans under the
+manifest's *volatile* ``timing`` section whether the shard ran in the
+runner's own process (one worker) or came back through the spawn-based
+process pool (two or more). Artifacts never see them, which is what
 keeps outputs byte-identical whether tracing is on or off.
 
 Everything is a no-op when no recorder is passed: library code calls
@@ -90,8 +91,9 @@ class SpanRecorder:
     """Collects finished spans as picklable dicts.
 
     The record shape is deliberately JSON/pickle-plain so shards can
-    return their spans through a spawn process pool and the runner can
-    file them into the manifest's volatile timing section.
+    return their spans from the runner's own process (one worker) or
+    through a spawn process pool (two or more) alike, and the runner
+    can file them into the manifest's volatile timing section.
     """
 
     __slots__ = ("spans",)

@@ -109,12 +109,26 @@ def test_packed_row_overhead_reduced_at_least_2x():
             out[:, support] += contribution
         return out.astype(np.int64)
 
+    def pr1_binarize(accums):
+        # binarize_batch as of commit 6583f27, verbatim but for the tie
+        # draw: N is odd, so no row ties and only the tie scan runs.
+        out = np.where(accums > 0, 1, -1).astype(np.int8)
+        zeros = accums == 0
+        assert np.flatnonzero(zeros.any(axis=-1)).size == 0
+        return out
+
+    def pr1_pack(hvs):
+        # repro.hv.packing.pack as of that commit: one uint8 bit row per HV.
+        bits = (np.asarray(hvs) > 0).astype(np.uint8)
+        return np.packbits(bits, axis=-1)  # reprolint: disable=RL002 -- frozen baseline from commit 6583f27 that the gate times against, not a live packing path
+
     def pr1_pipeline():
         # accumulate -> int64 -> dense int8 signs -> packed, exactly the
-        # PR 1 predict feed (binarize_batch + a consumer-side pack).
-        from repro.encoding.engine import binarize_batch
-
-        pack_words(binarize_batch(pr1_accumulate(samples)))
+        # first engine's predict feed (binarize_batch + a consumer-side
+        # pack). Both steps are inlined from commit 6583f27 so later
+        # speed-ups of the live binarizer and packer cannot move this
+        # baseline.
+        pr1_pack(pr1_binarize(pr1_accumulate(samples)))
 
     def matmul_floor():
         # The level-difference matmuls both pipelines run, without the

@@ -1,5 +1,6 @@
 """Tests for the parallel experiment CLI runner."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,18 +10,19 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import runner
 from repro.experiments.config import active_scale
 from repro.experiments.runner import (
     EXPERIMENTS,
     _assemble,
     _combine_fig8,
-    _execute,
     _execute_shard,
     child_seed,
     main,
     normalize_names,
     run_experiments,
 )
+from repro.obs.trace import SpanRecorder, span
 
 #: Cheap experiments (analytic or sub-second at test scale) used by the
 #: CLI tests so the suite stays fast.
@@ -31,8 +33,9 @@ FAST = "fig7,fig9"
 def tiny_scale_cli(monkeypatch, test_scale):
     """Route the CLI's scale resolution to the tiny test scale.
 
-    The resolved scale object is pickled out to spawned workers, so
-    patching the parent-side lookup is enough to shrink worker runs.
+    The resolved scale object is handed to in-process units and pickled
+    out to spawned workers alike, so patching the runner-side lookup is
+    enough to shrink every run.
     """
     monkeypatch.setattr(
         "repro.experiments.runner.active_scale", lambda: test_scale
@@ -119,6 +122,12 @@ class TestRunExperiments:
 
 
 class TestSharding:
+    @staticmethod
+    def _execute(name, scale, root_seed, cache_dir):
+        """Run one whole experiment as a single unit, bypassing shards."""
+        outcome = _execute_shard(name, None, scale, root_seed, cache_dir)
+        return _assemble(name, scale, root_seed, [None], [outcome])
+
     def test_table1_sharded_equals_whole_run(self, test_scale):
         spec = EXPERIMENTS["table1"]
         shards = spec.shards(test_scale)
@@ -128,7 +137,7 @@ class TestSharding:
             for shard in shards
         ]
         combined = _assemble("table1", test_scale, 5, shards, parts)
-        whole = _execute("table1", test_scale, 5, None)
+        whole = self._execute("table1", test_scale, 5, None)
         # Identical deterministic payloads and identity keys; only the
         # (volatile, manifest-only) timing sections may differ.
         assert combined.record.data == whole.record.data
@@ -180,6 +189,166 @@ class TestMain:
             main(_cli(tmp_path, "--only", "fig7"))
         assert excinfo.value.code == 2
         assert "REPRO_FULL_SCALE" in capsys.readouterr().err
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.fixture
+def unset_blas_env(monkeypatch):
+    """Remove the BLAS thread variables; restore their prior state after.
+
+    Setting before deleting makes monkeypatch record each variable's
+    original state, so a value a run adds is undone too.
+    """
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "unset")
+        monkeypatch.delenv(var)
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Make constructing the runner's process pool an error."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the runner started a process pool")
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", refuse)
+
+
+@pytest.fixture
+def counted_pool(monkeypatch):
+    """The real process pool, recording each construction's worker count."""
+    real = runner.ProcessPoolExecutor
+    workers = []
+
+    def counting(*args, **kwargs):
+        workers.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", counting)
+    return workers
+
+
+class TestInProcess:
+    """One worker means the runner's own process: no pool, no env writes."""
+
+    def test_jobs_1_never_starts_a_pool(self, capsys, tmp_path, no_pool):
+        assert main(_cli(tmp_path, "--only", FAST, "--jobs", "1")) == 0
+        out = capsys.readouterr().out
+        assert "=== fig7 ===" in out and "=== fig9 ===" in out
+
+    def test_single_unit_selection_never_starts_a_pool(
+        self, capsys, tmp_path, no_pool
+    ):
+        assert main(_cli(tmp_path, "--only", "fig7", "--jobs", "4")) == 0
+        assert "=== fig7 ===" in capsys.readouterr().out
+
+    def test_library_entry_never_starts_a_pool(self, no_pool):
+        assert set(run_experiments(["fig7", "fig9"])) == {"fig7", "fig9"}
+
+    def test_leaves_blas_env_as_found(self, tmp_path, no_pool, unset_blas_env):
+        assert main(_cli(tmp_path, "--only", FAST, "--jobs", "1")) == 0
+        for var in BLAS_THREAD_VARS:
+            assert var not in os.environ, var
+
+    def test_two_workers_and_units_still_use_the_pool(
+        self, tmp_path, tiny_scale_cli, counted_pool, unset_blas_env
+    ):
+        assert main(_cli(tmp_path, "--only", FAST, "--jobs", "2")) == 0
+        assert counted_pool == [2]
+        # The pool path still pins its workers' BLAS to one thread.
+        for var in BLAS_THREAD_VARS:
+            assert os.environ[var] == "1", var
+
+    def test_unit_spans_stay_roots(self, tmp_path, tiny_scale_cli, no_pool):
+        """An enclosing span in the caller never becomes a unit's parent."""
+        out_dir = tmp_path / "arts"
+        argv = _cli(
+            tmp_path, "--only", "fig7,fig8", "--jobs", "1", "--out", str(out_dir)
+        )
+        outer = SpanRecorder()
+        with span("caller", outer):
+            assert main(argv) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        shapes = {
+            name: [(s["name"], s["parent"]) for s in status["timing"]["spans"]]
+            for name, status in manifest["experiments"].items()
+        }
+        assert shapes["fig7"] == [("fig7", None)]
+        assert len(shapes["fig8"]) > 1
+        assert all(
+            name.startswith("fig8/") and parent is None
+            for name, parent in shapes["fig8"]
+        )
+        assert [s["name"] for s in outer.drain()] == ["caller"]
+
+
+def _boom(*args):
+    raise RuntimeError("boom")
+
+
+class TestErrorPath:
+    """A failing experiment is reported; the rest of the run completes."""
+
+    @pytest.fixture
+    def failing_fig9(self, monkeypatch):
+        monkeypatch.setitem(
+            EXPERIMENTS, "fig9", dataclasses.replace(EXPERIMENTS["fig9"], run=_boom)
+        )
+
+    @pytest.fixture
+    def failing_fig8_shard(self, monkeypatch):
+        monkeypatch.setitem(
+            EXPERIMENTS,
+            "fig8",
+            dataclasses.replace(EXPERIMENTS["fig8"], run_shard=_boom),
+        )
+
+    @pytest.mark.parametrize(
+        ("failing", "name"),
+        [("failing_fig9", "fig9"), ("failing_fig8_shard", "fig8")],
+    )
+    def test_error_status_exit_1_and_other_artifacts_written(
+        self, request, capsys, tmp_path, tiny_scale_cli, no_pool, failing, name
+    ):
+        request.getfixturevalue(failing)
+        out_dir = tmp_path / "arts"
+        argv = _cli(
+            tmp_path,
+            "--only",
+            f"fig7,{name},fig3",
+            "--jobs",
+            "1",
+            "--out",
+            str(out_dir),
+        )
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "[error: RuntimeError: boom]" in captured.out
+        assert f"error: {name}: RuntimeError: boom" in captured.err
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        statuses = manifest["experiments"]
+        assert statuses[name] == {"status": "error", "error": "RuntimeError: boom"}
+        assert statuses["fig7"]["status"] == "run"
+        assert statuses["fig3"]["status"] == "run"
+        assert (out_dir / "fig7.json").is_file()
+        assert (out_dir / "fig3.json").is_file()
+        assert not (out_dir / f"{name}.json").exists()
+
+    def test_manifest_written_when_every_experiment_fails(
+        self, capsys, tmp_path, no_pool, failing_fig9
+    ):
+        out_dir = tmp_path / "fresh" / "arts"
+        argv = _cli(tmp_path, "--only", "fig9", "--out", str(out_dir))
+        assert main(argv) == 1
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["experiments"]["fig9"]["status"] == "error"
+        assert "error: fig9: RuntimeError: boom" in capsys.readouterr().err
+
+    def test_library_entry_reraises(self, failing_fig9):
+        with pytest.raises(RuntimeError, match="boom"):
+            run_experiments(["fig7", "fig9"])
 
 
 class TestScaleEnv:
@@ -284,6 +453,8 @@ class TestJobsParity:
     ):
         """Acceptance: same seed => byte-identical artifacts at any --jobs.
 
+        ``--jobs 1`` runs in the runner's own process and ``--jobs 4`` on
+        the spawn pool, so this is the parity gate between the two paths.
         Covers an analytic experiment (fig7), the cycle model (fig9),
         a stochastic attack (fig3) and the sharded table1. Spans are
         always recorded, so this run doubles as the acceptance check
