@@ -77,9 +77,10 @@ revocation list and rotation generation.
 :func:`~repro.hdlock.rotate_system` re-locks a deployed system with a
 fresh key at bounded cost (no public artifact changes), and
 :func:`~repro.hv.fleet_key_report` quantifies population-scale key
-collision and guessability. ``benchmarks/bench_keygen.py`` tracks
-keys/sec, bytes/key at rest, and re-lock latency as the
-machine-readable ``BENCH_provisioning.json`` snapshot.
+collision and guessability. perfbench's ``provision`` workload
+measures keys/sec, bytes/key at rest, and re-lock latency; the bulk
+keygen speed-up over the per-key loop is gated by
+``tests/hdlock/test_keygen_perf.py``.
 
 Multi-tenant serving
 --------------------
@@ -98,8 +99,9 @@ re-checks the key lifecycle gate per request (revoked or rotated device
 → 403, never a crash) and coalesces concurrent requests in a
 :class:`~repro.serving.MicroBatcher` into single
 ``encode_batch_packed`` calls — bit-identical to per-request serving,
-several times the throughput (``benchmarks/bench_serving.py`` →
-``BENCH_serving.json``). ``python -m repro.serving`` boots a demo
+several times the throughput (gated at ≥ 4x by
+``tests/serving/test_throughput.py``; perfbench's ``serve`` workload
+times it over a real socket). ``python -m repro.serving`` boots a demo
 fleet or previously provisioned tenant directories; ``--self-check``
 is the CI smoke body.
 
@@ -117,7 +119,7 @@ blocks the serving event loop inside ``async def`` (RL003 — protects
 the micro-batcher's deterministic flush and tail latency), public
 boundaries raise only taxonomy errors (RL004), and acquired handles
 have deterministic release paths (RL005). Run it locally with
-``python -m repro.analysis src tests benchmarks examples``; see the
+``python -m repro.analysis src tests examples``; see the
 :mod:`repro.analysis` docstring for the rule table and suppression
 syntax.
 

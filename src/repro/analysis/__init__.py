@@ -30,7 +30,7 @@ differential probing instead of relying on manual inspection:
     (``tests/serving`` batcher bit-parity tests) runs on the event
     loop thread; any blocking call in an
     ``async def`` stalls every in-flight request and stretches the
-    p95/p99 tails ``BENCH_serving.json`` trends.
+    p95/p99 tails perfbench's ``serve`` workload measures.
 
 ``RL004`` **error taxonomy** — ``repro.serving`` and ``repro.hdlock``
     are public boundaries whose exception *types* are the API (the
@@ -49,7 +49,7 @@ Running it
 
 .. code-block:: console
 
-    $ PYTHONPATH=src python -m repro.analysis src tests benchmarks examples
+    $ PYTHONPATH=src python -m repro.analysis src tests examples
     $ PYTHONPATH=src python -m repro.analysis --format json src
     $ PYTHONPATH=src python -m repro.analysis --list-rules
 

@@ -8,13 +8,13 @@ any ``async def`` — a ``time.sleep`` instead of ``asyncio.sleep``, a
 synchronous ``open``/``subprocess``/socket call, an mmap flush — stalls
 every in-flight request and widens the batching window from
 milliseconds to whatever the call took, which is exactly the tail
-latency ``BENCH_serving.json`` trends against.
+latency perfbench's ``serve`` workload measures.
 
 The rule flags known-blocking calls whose innermost enclosing function
 is ``async def`` (a sync helper *defined* inside an async function runs
 wherever it is called, so it is not flagged). It applies to every
-file: async code outside ``repro.serving`` — tests, benches, the load
-driver — shares the same loop discipline.
+file: async code outside ``repro.serving`` — tests, the load driver —
+shares the same loop discipline.
 """
 
 from __future__ import annotations

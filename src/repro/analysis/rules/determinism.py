@@ -14,9 +14,8 @@ the test suite while silently breaking byte-parity in production:
   (``default_rng(time.time_ns())``), which makes every run unique.
 
 RL001 flags all three, everywhere the linter runs (library, tests,
-benchmarks, examples): an unseeded draw in a bench driver breaks
-``BENCH_*.json`` run-to-run comparability just as surely as one in
-``src/repro``.
+examples): an unseeded draw in a test or an example breaks run-to-run
+comparability just as surely as one in ``src/repro``.
 """
 
 from __future__ import annotations

@@ -380,9 +380,9 @@ def encode_batch_reference(
 
     One gather + integer einsum + (optional) sign per sample, casting
     the operands on every iteration exactly as the pre-engine
-    implementation did. Differential tests and the old-vs-new benchmarks
-    run this against :class:`EncodingPlan`; it is never used on a hot
-    path.
+    implementation did. Differential tests and the slow batch-engine
+    gate in ``tests/encoding/test_engine_perf.py`` run this against
+    :class:`EncodingPlan`; it is never used on a hot path.
     """
     lev = np.asarray(level_matrix)
     fea = np.asarray(feature_matrix)

@@ -30,8 +30,8 @@ Layering (thin adapter over a use-case core):
   JSON bodies, lifespan). Any ASGI server (``uvicorn`` via the
   ``[serving]`` extra) can host the app; :mod:`repro.serving.http`
   bundles a stdlib fallback server, and
-  :mod:`repro.serving.testclient` drives the app in-process for tests,
-  CI smoke, and the load bench.
+  :mod:`repro.serving.testclient` drives the app in-process for tests
+  and CI smoke.
 
 Quickstart::
 
@@ -39,8 +39,9 @@ Quickstart::
 
 provisions demo tenants (synthetic data, locked + trained) into a
 temporary directory and serves them. See README.md for the full
-provisioning flow and ``benchmarks/bench_serving.py`` for the load
-harness behind ``BENCH_serving.json``.
+provisioning flow, ``tests/serving/test_throughput.py`` for the
+micro-batching and instrumentation-overhead gates, and perfbench's
+``serve`` workload for latency and throughput over a real socket.
 """
 
 from repro.serving.app import create_app

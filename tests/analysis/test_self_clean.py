@@ -30,7 +30,6 @@ def test_repo_lints_clean():
             "repro.analysis",
             "src",
             "tests",
-            "benchmarks",
             "examples",
             "--format",
             "json",

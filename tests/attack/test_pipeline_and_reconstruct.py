@@ -1,5 +1,7 @@
 """Tests for the end-to-end attack pipeline and model reconstruction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,9 @@ from repro.encoding.record import RecordEncoder
 from repro.model.train import train_model
 
 N, M, D = 24, 6, 1024
+
+#: Model widths for the attack-cost scaling fit.
+SCALING_WIDTHS = (64, 128, 256, 512)
 
 
 @pytest.fixture
@@ -56,6 +61,17 @@ class TestRunReasoningAttack:
         result = run_reasoning_attack(surface)
         assert result.total_queries == N + 1
         assert result.total_guesses == N * (N + 1) // 2
+        # The divide-and-conquer budget is O(N^2): fit the growth
+        # exponent of the exact guess counts over a range of widths.
+        guesses = {}
+        for n in SCALING_WIDTHS:
+            encoder = RecordEncoder.random(n, M, D, rng=n)
+            wide, _ = expose_model(encoder, binary=True, rng=n + 1)
+            guesses[n] = run_reasoning_attack(wide).total_guesses
+            assert guesses[n] == n * (n + 1) // 2
+        lo, hi = SCALING_WIDTHS[0], SCALING_WIDTHS[-1]
+        alpha = math.log(guesses[hi] / guesses[lo]) / math.log(hi / lo)
+        assert 1.2 < alpha < 3.0
 
     def test_nonbinary_recovery(self):
         encoder = RecordEncoder.random(N, M, D, rng=6)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -18,6 +19,7 @@ from repro.experiments.arena import (
     run_arena,
     run_arena_cell,
 )
+from repro.experiments.cache import DiskCache
 from repro.experiments.runner import main
 
 
@@ -154,6 +156,30 @@ class TestArenaAcceptance:
         cells = artifact["data"]["cells"]
         assert len(cells) == 24
         assert all("seconds" not in cell for cell in cells)
+
+    @pytest.mark.slow
+    def test_warm_cache_replays_cold_matrix(self, tmp_path, test_scale):
+        """A cached rerun of the whole matrix changes no stable field,
+        and the paper's L >= 2 row holds against every attacker."""
+        scale = dataclasses.replace(test_scale, dim=2048, fig8_dim=2048)
+        cache = DiskCache(tmp_path / "cache")
+        cold = run_arena(scale=scale, cache=cache).cells
+        warm = run_arena(scale=scale, cache=cache).cells
+
+        def stable(cells):
+            return [
+                {
+                    k: v
+                    for k, v in cell.to_dict().items()
+                    if k not in ARENA_VOLATILE_FIELDS
+                }
+                for cell in cells
+            ]
+
+        assert len(cold) == 24  # 4 attackers x 6 defenders
+        assert stable(warm) == stable(cold)
+        held = [c for c in cold if c.defender == "baseline-l2"]
+        assert all(c.features_recovered == 0 for c in held)
 
     def test_csv_artifact_for_arena(self, capsys, tmp_path, tiny_scale_cli):
         out_dir = tmp_path / "arts"

@@ -1,6 +1,8 @@
 """Tests for the parallel experiment CLI runner."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -23,6 +25,7 @@ from repro.experiments.runner import (
     run_experiments,
 )
 from repro.obs.trace import SpanRecorder, span
+from repro.utils.timer import Timer
 
 #: Cheap experiments (analytic or sub-second at test scale) used by the
 #: CLI tests so the suite stays fast.
@@ -512,6 +515,28 @@ class TestJobsParity:
         assert all(
             name.startswith("table1/") and parent is None
             for name, parent in span_shapes["1"]["table1"]
+        )
+
+    @pytest.mark.slow
+    def test_jobs_4_at_least_2x_serial(self, tmp_path):
+        """Warm cache, whole suite at the active scale: --jobs 4 vs 1."""
+        if (os.cpu_count() or 1) < 4:
+            pytest.skip("speedup gate needs >= 4 cores")
+
+        def wall(jobs: int, tag: str) -> float:
+            # Fresh --out per run (resume would skip the work) and one
+            # shared cache, so every timed run sees the same warm cache.
+            out = str(tmp_path / tag)
+            argv = _cli(tmp_path, "--jobs", str(jobs), "--out", out)
+            with contextlib.redirect_stdout(io.StringIO()), Timer() as timer:
+                assert main(argv) == 0
+            return timer.elapsed
+
+        wall(4, "warmup")
+        serial, parallel = wall(1, "serial"), wall(4, "parallel")
+        assert serial / parallel >= 2.0, (
+            f"--jobs 4 only {serial / parallel:.2f}x faster than serial "
+            f"(serial {serial:.2f}s, parallel {parallel:.2f}s)"
         )
 
 

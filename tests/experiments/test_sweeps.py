@@ -1,5 +1,8 @@
 """Tests for the attack operating-envelope sweeps."""
 
+import pytest
+
+from repro.experiments.config import DEFAULT_SEED
 from repro.experiments.sweeps import (
     margin_vs_features,
     recovery_vs_dim,
@@ -35,6 +38,17 @@ class TestMarginVsFeatures:
             feature_counts=(64, 512), dim=2048, seed=4
         )
         assert points[1].separation < points[0].separation
+
+
+class TestDefaultEnvelope:
+    @pytest.mark.slow
+    def test_recovery_saturates_and_dip_survives(self):
+        # Recovery reaches 100 % once D dominates N, and the dip
+        # survives up to the widest default model at D = 2048.
+        recovery = recovery_vs_dim(seed=DEFAULT_SEED)
+        assert recovery[-1].feature_accuracy == 1.0
+        margins = margin_vs_features(seed=DEFAULT_SEED)
+        assert all(p.separation > 0 for p in margins)
 
 
 class TestRender:

@@ -17,7 +17,6 @@ EXAMPLES = [
     ("lock_and_defend.py", 300),
     ("hardware_tradeoff.py", 120),
     ("sequence_lock.py", 120),
-    ("benchmark_suite.py", 600),
 ]
 
 
