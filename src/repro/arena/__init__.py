@@ -8,9 +8,12 @@ deployments, not one fixed attack script. This package generalizes
   (anything implementing :class:`repro.attack.protocol.Attacker`) and
   defender configurations (:class:`repro.arena.defenders.DefenderSpec`);
 * :mod:`repro.arena.attackers` — the built-in strategies: the exhaustive
-  single-layer sweep, the threshold-gated adaptive variant, an
-  HDXplore-style blackbox differential prober, and the paper's Sec. 3
-  reasoning pipeline run unmodified as a baseline;
+  single-layer sweep (its kernels,
+  :func:`~repro.attack.hdlock_attack.score_rotations` and
+  :func:`~repro.attack.hdlock_attack.best_single_layer_guess`, live in
+  :mod:`repro.attack.hdlock_attack`), the threshold-gated adaptive
+  variant, an HDXplore-style blackbox differential prober, and the
+  paper's Sec. 3 reasoning pipeline run unmodified as a baseline;
 * :mod:`repro.arena.defenders` — the built-in deployments: key depth,
   binary/non-binary transmission, Prive-HD-style quantized/sparsified
   encoders (:mod:`repro.encoding.privacy`), and a query-monitor-guarded

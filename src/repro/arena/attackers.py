@@ -3,8 +3,9 @@
 Four strategies spanning the threat-model spectrum:
 
 * :class:`BruteForceSweeper` — the paper's exhaustive single-layer sweep
-  (:func:`repro.attack.adaptive.best_single_layer_guess`), committing to
-  the argmin guess unconditionally;
+  (:func:`repro.attack.hdlock_attack.score_rotations` on the Eq. 11
+  crafted pair, then :func:`~repro.attack.hdlock_attack.best_single_layer_guess`),
+  committing to the argmin guess unconditionally;
 * :class:`AdaptiveExtractor` — the same criterion with a per-index early
   exit and an acceptance threshold: it stops scoring once a guess
   separates and *abstains* when nothing does, trading recall for honesty
@@ -19,6 +20,11 @@ Four strategies spanning the threat-model spectrum:
   unmodified against the locked surface, demonstrating that the lock
   defeats the attack HDLock was designed against.
 
+The three sweeping strategies share one per-feature loop
+(:class:`_FeatureSweep`) and differ only in their per-feature step.
+Their thresholds and the prober's probe count are module constants:
+the arena constructs every strategy with no arguments.
+
 Every strategy observes the discipline of :class:`repro.attack.protocol`:
 it touches only the blackbox surface, spends only budgeted queries,
 derives randomness only from the ``rng`` argument, and reports
@@ -32,24 +38,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arena.registry import register_attacker
-from repro.attack.adaptive import (
-    ACCEPT_THRESHOLD,
-    best_single_layer_guess,
-    score_rotations,
-)
 from repro.attack.countermeasures import OracleLockoutError
 from repro.attack.hdlock_attack import (
     as_attack_surface,
+    best_single_layer_guess,
     observe_difference,
     rotation_correlation,
+    score_rotations,
 )
 from repro.attack.pipeline import run_reasoning_attack
 from repro.attack.protocol import AttackBudget, AttackOutcome, FeatureGuess
 from repro.attack.threat_model import LockedSurface
-from repro.errors import AttackError, ConfigurationError
+from repro.errors import AttackError
 from repro.memory.key import SubKey
 
 __all__ = [
+    "ACCEPT_THRESHOLD",
     "DEFAULT_ATTACKERS",
     "AdaptiveExtractor",
     "BruteForceSweeper",
@@ -70,12 +74,40 @@ DEFAULT_ATTACKERS: tuple[str, ...] = (
 #: binary Hamming criterion and the ``1 - cosine`` criterion.
 CHANCE_SCORE = 0.5
 
+#: Crafted-pair score at or below which :class:`AdaptiveExtractor`
+#: accepts a single-layer guess (correct guesses score ~0 Hamming /
+#: ~0 ``1 - cosine``; wrong ones ~0.5).
+ACCEPT_THRESHOLD = 0.12
 
-@register_attacker
-class BruteForceSweeper:
-    """Exhaustive single-layer sweep; always commits to the argmin."""
+#: Random probe pairs :class:`DifferentialProber` spends per feature.
+PROBES = 16
 
-    name = "bruteforce"
+#: Total vote magnitude below which the prober abstains without scoring.
+MIN_EVIDENCE = 128
+
+#: Vote-correlation score at or below which the prober commits.
+PROBER_ACCEPT_THRESHOLD = 0.25
+
+
+class _FeatureSweep:
+    """The per-feature attack loop the sweeping strategies share.
+
+    For each feature in the budget's scope: stop when the budget cannot
+    pay :attr:`queries_per_feature` more queries, run the strategy's
+    :meth:`_attack_feature` step, and stop the run on a lockout. Any
+    other :class:`AttackError` (the crafted pair exposing nothing) is an
+    abstention at chance. The lockout is caught first because
+    :class:`OracleLockoutError` is itself an :class:`AttackError`.
+    """
+
+    name = ""
+    queries_per_feature = 2
+
+    def _attack_feature(
+        self, surface: LockedSurface, feature: int, rng: np.random.Generator
+    ) -> tuple[FeatureGuess, int]:
+        """One feature's guess and the number of candidates it scored."""
+        raise NotImplementedError
 
     def run(
         self,
@@ -88,25 +120,18 @@ class BruteForceSweeper:
         locked_out = False
         notes = ""
         for feature in budget.features(surface):
-            if not budget.allows_queries(surface.oracle, 2):
+            if not budget.allows_queries(surface.oracle, self.queries_per_feature):
                 notes = "query budget exhausted"
                 break
             try:
-                observation = observe_difference(surface, feature)
+                guess, scored = self._attack_feature(surface, feature, rng)
             except OracleLockoutError:
                 locked_out = True
                 break
             except AttackError:
-                guesses.append(FeatureGuess(feature, None, CHANCE_SCORE))
-                continue
-            subkey, score, spent = best_single_layer_guess(
-                surface,
-                feature,
-                observation=observation,
-                max_candidates=budget.max_candidates,
-            )
-            candidates += spent
-            guesses.append(FeatureGuess(feature, subkey, score))
+                guess, scored = FeatureGuess(feature, None, CHANCE_SCORE), 0
+            guesses.append(guess)
+            candidates += scored
         return AttackOutcome(
             attacker=self.name,
             guesses=tuple(guesses),
@@ -118,11 +143,25 @@ class BruteForceSweeper:
 
 
 @register_attacker
-class AdaptiveExtractor:
+class BruteForceSweeper(_FeatureSweep):
+    """Exhaustive single-layer sweep; always commits to the argmin."""
+
+    name = "bruteforce"
+
+    def _attack_feature(
+        self, surface: LockedSurface, feature: int, rng: np.random.Generator
+    ) -> tuple[FeatureGuess, int]:
+        scores = score_rotations(surface, observe_difference(surface, feature))
+        subkey, score = best_single_layer_guess(scores)
+        return FeatureGuess(feature, subkey, score), scores.size
+
+
+@register_attacker
+class AdaptiveExtractor(_FeatureSweep):
     """Threshold-gated sweep with per-index early exit.
 
     Same Eq. 11/13 criterion as the brute-force sweep, but it stops
-    scoring the moment a candidate clears ``accept_threshold`` and
+    scoring the moment a candidate clears :data:`ACCEPT_THRESHOLD` and
     abstains when none does — the honest reading of the paper's
     ``L >= 2`` argument (on a two-layer key no single-layer candidate
     separates, and this strategy says so instead of guessing).
@@ -130,111 +169,71 @@ class AdaptiveExtractor:
 
     name = "adaptive"
 
-    def __init__(self, accept_threshold: float = ACCEPT_THRESHOLD) -> None:
-        self.accept_threshold = float(accept_threshold)
-
-    def run(
-        self,
-        surface: LockedSurface,
-        budget: AttackBudget,
-        rng: np.random.Generator,
-    ) -> AttackOutcome:
-        dim = surface.dim
-        guesses: list[FeatureGuess] = []
-        candidates = 0
-        locked_out = False
-        notes = ""
-        for feature in budget.features(surface):
-            if not budget.allows_queries(surface.oracle, 2):
-                notes = "query budget exhausted"
-                break
-            try:
-                observation = observe_difference(surface, feature)
-            except OracleLockoutError:
-                locked_out = True
-                break
-            except AttackError:
-                guesses.append(FeatureGuess(feature, None, CHANCE_SCORE))
-                continue
-            scores = score_rotations(surface, observation)
-            # The early exit stops after the first index whose best
-            # rotation clears the threshold; only indices up to it count
-            # as scored, and the guess is the best among them.
-            cleared = np.flatnonzero(scores.min(axis=1) <= self.accept_threshold)
-            visited = int(cleared[0]) + 1 if cleared.size else surface.pool_size
-            candidates += visited * dim
-            index, rotation = divmod(int(np.argmin(scores[:visited])), dim)
-            best_score = float(scores[index, rotation])
-            if best_score <= self.accept_threshold:
-                best = SubKey((index,), (rotation,))
-                guesses.append(FeatureGuess(feature, best, best_score))
-            else:
-                guesses.append(FeatureGuess(feature, None, best_score))
-        return AttackOutcome(
-            attacker=self.name,
-            guesses=tuple(guesses),
-            queries=surface.oracle.n_queries,
-            candidates_scored=candidates,
-            locked_out=locked_out,
-            notes=notes,
-        )
+    def _attack_feature(
+        self, surface: LockedSurface, feature: int, rng: np.random.Generator
+    ) -> tuple[FeatureGuess, int]:
+        scores = score_rotations(surface, observe_difference(surface, feature))
+        # The early exit stops after the first index whose best rotation
+        # clears the threshold; only indices up to it count as scored,
+        # and the guess is the best among them.
+        cleared = np.flatnonzero(scores.min(axis=1) <= ACCEPT_THRESHOLD)
+        visited = int(cleared[0]) + 1 if cleared.size else surface.pool_size
+        subkey, score = best_single_layer_guess(scores[:visited])
+        committed = subkey if score <= ACCEPT_THRESHOLD else None
+        return FeatureGuess(feature, committed, score), visited * surface.dim
 
 
 @register_attacker
-class DifferentialProber:
+class DifferentialProber(_FeatureSweep):
     """Blackbox differential prober with weighted per-coordinate voting.
 
-    For each targeted feature it queries ``probes`` random input *pairs*
-    that differ only in that feature. Writing ``diff = E(x_1) - E(x_2)``
-    and ``v_delta = ValHV_a - ValHV_b`` for the two probed levels, on
-    every coordinate where both are nonzero
+    For each targeted feature it queries :data:`PROBES` random input
+    *pairs* that differ only in that feature. Writing
+    ``diff = E(x_1) - E(x_2)`` and ``v_delta = ValHV_a - ValHV_b`` for
+    the two probed levels, on every coordinate where both are nonzero
     ``sign(diff) * sign(v_delta) = FeaHV_f`` exactly (all other features'
     contributions cancel in the subtraction; binarization only thins
     which coordinates show a flip). Each pair therefore casts a ±1 vote
-    per flipped coordinate; candidates are scored by the vote-magnitude
-    weighted correlation against the tally, so a coordinate flipped by
-    many probes outweighs a one-off flip. That voting is
-    what the one-shot crafted-pair criterion lacks — and unlike the
-    crafted Eq. 11 pair, the probes are uniform random inputs,
-    indistinguishable from benign traffic to a concentration-based
-    query monitor.
+    per flipped coordinate; every single-layer candidate is scored by
+    its vote-magnitude weighted correlation with the tally (one
+    :func:`~repro.attack.hdlock_attack.rotation_correlation` pass), so a
+    coordinate flipped by many probes outweighs a one-off flip. That
+    voting is what the one-shot crafted-pair criterion lacks — and
+    unlike the crafted Eq. 11 pair, the probes are uniform random
+    inputs, indistinguishable from benign traffic to a
+    concentration-based query monitor.
     """
 
     name = "differential-prober"
+    queries_per_feature = 2 * PROBES
 
-    def __init__(
-        self,
-        probes: int = 16,
-        min_evidence: int = 128,
-        max_candidates: int = 65536,
-        accept_threshold: float = 0.25,
-    ) -> None:
-        if probes < 1:
-            raise ConfigurationError(f"probes must be >= 1, got {probes}")
-        self.probes = int(probes)
-        if min_evidence < 1:
-            raise ConfigurationError(
-                f"min_evidence must be >= 1, got {min_evidence}"
-            )
-        self.min_evidence = int(min_evidence)
-        if max_candidates < 1:
-            raise ConfigurationError(
-                f"max_candidates must be >= 1, got {max_candidates}"
-            )
-        self.max_candidates = int(max_candidates)
-        self.accept_threshold = float(accept_threshold)
+    def _attack_feature(
+        self, surface: LockedSurface, feature: int, rng: np.random.Generator
+    ) -> tuple[FeatureGuess, int]:
+        votes = self._probe_feature(surface, feature, rng)
+        weight_mass = float(np.abs(votes).sum())
+        if weight_mass < MIN_EVIDENCE:
+            # Too little flip evidence to separate the candidate space —
+            # committing here would be guessing on noise.
+            return FeatureGuess(feature, None, CHANCE_SCORE), 0
+        # Score (1 - c) / 2 for weighted vote correlation c: 0 for
+        # perfect agreement, 0.5 at chance, on the same lower-is-better
+        # scale as every other arena criterion.
+        correlations = rotation_correlation(surface.base_pool, votes) / weight_mass
+        scores = (1.0 - correlations) / 2.0
+        subkey, score = best_single_layer_guess(scores)
+        committed = subkey if score <= PROBER_ACCEPT_THRESHOLD else None
+        return FeatureGuess(feature, committed, score), scores.size
 
+    @staticmethod
     def _probe_feature(
-        self,
-        surface: LockedSurface,
-        feature: int,
-        rng: np.random.Generator,
+        surface: LockedSurface, feature: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Tally per-coordinate votes on ``sign(FeaHV_feature)``."""
         levels = surface.levels
         value = surface.value_matrix.astype(np.int64)
         votes = np.zeros(surface.dim, dtype=np.int64)
-        for _ in range(self.probes):
+        for _ in range(PROBES):
             base = rng.integers(0, levels, size=surface.n_features)
             level_a = int(base[feature])
             level_b = int((level_a + 1 + rng.integers(levels - 1)) % levels)
@@ -247,87 +246,6 @@ class DifferentialProber:
             mask = (diff != 0) & (v_delta != 0)
             votes[mask] += np.sign(diff[mask]) * np.sign(v_delta[mask])
         return votes
-
-    def _best_candidate(
-        self,
-        surface: LockedSurface,
-        votes: np.ndarray,
-        cap: int,
-        rng: np.random.Generator,
-    ) -> tuple[SubKey, float, int]:
-        """Best single-layer candidate by weighted vote correlation.
-
-        Score is ``(1 - c) / 2`` where ``c`` is the correlation of the
-        candidate's rotated pool row with the vote tally, weighted by
-        vote magnitude — 0 for perfect agreement, 0.5 at chance, on the
-        same lower-is-better scale as every other arena criterion.
-        """
-        dim = surface.dim
-        weight_mass = float(np.abs(votes).sum())
-        total = dim * surface.pool_size
-        if total <= cap:
-            correlations = rotation_correlation(surface.base_pool, votes) / weight_mass
-            scores = (1.0 - correlations) / 2.0
-            index, rotation = divmod(int(np.argmin(scores)), dim)
-            return SubKey((index,), (rotation,)), float(scores[index, rotation]), total
-        pool = surface.base_pool.astype(np.int64)
-        support = np.flatnonzero(votes)
-        weights = votes[support].astype(np.float64)
-        best_score = np.inf
-        best_pair = (0, 0)
-        indices = rng.integers(0, surface.pool_size, size=cap)
-        rotations = rng.integers(0, dim, size=cap)
-        for index, rotation in zip(indices.tolist(), rotations.tolist()):
-            row = pool[index][(support + rotation) % dim]
-            score = (1.0 - float(row @ weights) / weight_mass) / 2.0
-            if score < best_score:
-                best_score = float(score)
-                best_pair = (index, rotation)
-        return SubKey((best_pair[0],), (best_pair[1],)), best_score, cap
-
-    def run(
-        self,
-        surface: LockedSurface,
-        budget: AttackBudget,
-        rng: np.random.Generator,
-    ) -> AttackOutcome:
-        cap = self.max_candidates
-        if budget.max_candidates is not None:
-            cap = min(cap, budget.max_candidates)
-        guesses: list[FeatureGuess] = []
-        candidates = 0
-        locked_out = False
-        notes = ""
-        for feature in budget.features(surface):
-            if not budget.allows_queries(surface.oracle, 2 * self.probes):
-                notes = "query budget exhausted"
-                break
-            try:
-                votes = self._probe_feature(surface, feature, rng)
-            except OracleLockoutError:
-                locked_out = True
-                break
-            if int(np.abs(votes).sum()) < self.min_evidence:
-                # Too little flip evidence to separate the candidate
-                # space — committing here would be guessing on noise.
-                guesses.append(FeatureGuess(feature, None, CHANCE_SCORE))
-                continue
-            subkey, score, scored = self._best_candidate(
-                surface, votes, cap, rng
-            )
-            candidates += scored
-            if score <= self.accept_threshold:
-                guesses.append(FeatureGuess(feature, subkey, score))
-            else:
-                guesses.append(FeatureGuess(feature, None, score))
-        return AttackOutcome(
-            attacker=self.name,
-            guesses=tuple(guesses),
-            queries=surface.oracle.n_queries,
-            candidates_scored=candidates,
-            locked_out=locked_out,
-            notes=notes,
-        )
 
 
 @register_attacker

@@ -2,14 +2,6 @@
 guess criterion of Sec. 4.2, and the :class:`~repro.attack.protocol.Attacker`
 protocol the attack arena (:mod:`repro.arena`) builds on."""
 
-from repro.attack.adaptive import (
-    ACCEPT_THRESHOLD,
-    SingleLayerAttackResult,
-    attack_single_layer,
-    best_single_layer_guess,
-    extrapolate_multi_layer_seconds,
-    score_rotations,
-)
 from repro.attack.bruteforce import (
     MAX_BRUTEFORCE_FEATURES,
     BruteForceResult,
@@ -43,9 +35,11 @@ from repro.attack.hdlock_attack import (
     DifferenceObservation,
     SweepResult,
     as_attack_surface,
+    best_single_layer_guess,
     observe_difference,
     score_guess,
     score_guesses,
+    score_rotations,
     sweep_parameter,
 )
 from repro.attack.pipeline import (
@@ -76,12 +70,6 @@ from repro.attack.value_extraction import (
 )
 
 __all__ = [
-    "ACCEPT_THRESHOLD",
-    "SingleLayerAttackResult",
-    "attack_single_layer",
-    "best_single_layer_guess",
-    "score_rotations",
-    "extrapolate_multi_layer_seconds",
     "AttackBudget",
     "AttackOutcome",
     "Attacker",
@@ -116,6 +104,8 @@ __all__ = [
     "observe_difference",
     "score_guess",
     "score_guesses",
+    "score_rotations",
+    "best_single_layer_guess",
     "sweep_parameter",
     "as_attack_surface",
     "BruteForceResult",

@@ -5,7 +5,10 @@ guessing the whole feature mapping at once means searching ``N!``
 permutations, infeasible beyond toy sizes. This module implements that
 baseline for small ``N`` so tests can confirm the divide-and-conquer
 result coincides with the global optimum, and so the complexity gap
-(``N!`` vs ``N^2``) is demonstrable rather than asserted.
+(``N!`` vs ``N^2``) is demonstrable rather than asserted. It attacks
+the unprotected Sec. 3 model and is unrelated to the arena's
+``bruteforce`` strategy, the single-layer HDLock key sweep of
+:class:`repro.arena.attackers.BruteForceSweeper`.
 """
 
 from __future__ import annotations

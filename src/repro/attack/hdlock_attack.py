@@ -19,9 +19,12 @@ two-layer key needs ``4.81e16`` tries on MNIST.
 
 The module provides the single-guess scorer, the restricted sweeps of
 Figs. 5/6 (three of four parameters known, sweep the fourth), the exact
-FFT rotation-correlation kernel that scores every single-layer guess
-``(index, rotation)`` in one pass, and an adapter showing that the
-*unprotected* attack of Sec. 3 collapses against a locked encoder.
+FFT rotation-correlation kernel and the single-layer sweep built on it
+(:func:`score_rotations` scores every guess ``(index, rotation)`` of one
+feature in one pass, :func:`best_single_layer_guess` picks the argmin;
+the arena's sweeping strategies in :mod:`repro.arena.attackers` are
+their callers), and an adapter showing that the *unprotected* attack of
+Sec. 3 collapses against a locked encoder.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ import numpy as np
 
 from repro.attack.threat_model import AttackSurface, LockedSurface
 from repro.encoding.engine import resolve_chunk_size
-from repro.errors import AttackError, ConfigurationError
+from repro.errors import AttackError, ConfigurationError, NotBipolarError
 from repro.hv.packing import hamming_packed, pack_words
-from repro.hv.similarity import cosine_matrix
+from repro.hv.similarity import cosine_matrix, is_bipolar
 from repro.memory.key import LockKey, SubKey
 
 
@@ -143,6 +146,71 @@ def rotation_correlation(pool: np.ndarray, weights: np.ndarray) -> np.ndarray:
             "small enough for float64 FFT precision"
         )
     return exact
+
+
+def score_rotations(
+    surface: LockedSurface, observation: DifferenceObservation
+) -> np.ndarray:
+    """Score every single-layer guess ``(index, r)`` against one observation.
+
+    Returns the ``(P, D)`` score matrix: row ``index`` is base-pool row
+    ``index``, column ``r`` is rotation ``r``. Scores are uniformly
+    *lower is better*: normalized Hamming distance on binary surfaces,
+    ``1 - cosine`` on non-binary ones — so arena strategies compare and
+    threshold them without branching on the oracle flavor.
+
+    A guess predicts ``v_delta * rho^r(B_index)`` on the support ``I``.
+    With a bipolar pool every prediction is one
+    :func:`rotation_correlation` entry away:
+
+    * binary: ``sign(prediction) = sign(v_delta) * rho^r(B_index)`` and
+      the target is ±1, so mismatches are ``(|I| - corr) / 2`` with
+      weights ``sign(v_delta) * target`` on ``I``;
+    * non-binary: the dot product with the target is ``corr`` with
+      weights ``v_delta * target``, and every prediction has the norm
+      ``||v_delta||``.
+
+    Those preconditions (bipolar pool, ``v_delta != 0`` on ``I``, a ±1
+    binary target) hold for every :func:`observe_difference` result and
+    are checked rather than assumed.
+    """
+    pool = surface.base_pool
+    if not is_bipolar(pool):
+        raise NotBipolarError("rotation scoring needs a bipolar base pool")
+    support = observation.support
+    target = observation.target
+    v_delta = (
+        surface.value_matrix[0].astype(np.int64)
+        - surface.value_matrix[-1].astype(np.int64)
+    )[support]
+    if not v_delta.all():
+        raise AttackError(
+            "observation support leaves the value support (ValHV_1 == ValHV_M)"
+        )
+    weights = np.zeros(surface.dim, dtype=np.int64)
+    if surface.binary:
+        if not (np.abs(target) == 1).all():
+            raise AttackError("binary difference target must be +-1")
+        weights[support] = np.sign(v_delta) * target
+        corr = rotation_correlation(pool, weights).astype(np.int64)
+        return (support.size - corr) // 2 / support.size
+    target_norm = float(np.linalg.norm(target.astype(np.float64)))
+    if target_norm == 0.0:
+        raise AttackError("difference observation carries no signal")
+    weights[support] = v_delta * target
+    prediction_norm = float(np.linalg.norm(v_delta.astype(np.float64)))
+    cosines = rotation_correlation(pool, weights) / (prediction_norm * target_norm)
+    return 1.0 - cosines
+
+
+def best_single_layer_guess(scores: np.ndarray) -> tuple[SubKey, float]:
+    """The argmin guess of a ``(P, D)`` single-layer score matrix.
+
+    Ties go to the first index, then the first rotation. Returns the
+    guess as a one-layer subkey and its (lower-is-better) score.
+    """
+    index, rotation = divmod(int(np.argmin(scores)), scores.shape[1])
+    return SubKey((index,), (rotation,)), float(scores[index, rotation])
 
 
 def score_guess(
@@ -275,17 +343,6 @@ class SweepResult:
         return float(self.scores[0] - wrong.max())
 
 
-def _sweep_scores(
-    surface: LockedSurface,
-    observation: DifferenceObservation,
-    fixed: SubKey,
-    layer: int,
-    candidate_subkeys: list[SubKey],
-) -> np.ndarray:
-    del fixed, layer  # encoded in the candidate subkeys already
-    return score_guesses(surface, observation, candidate_subkeys)
-
-
 def sweep_parameter(
     surface: LockedSurface,
     true_key: LockKey,
@@ -336,12 +393,8 @@ def sweep_parameter(
             indices[layer] = value
         return SubKey(tuple(indices), tuple(rotations))
 
-    scores = _sweep_scores(
-        surface,
-        observation,
-        subkey,
-        layer,
-        [with_value(int(v)) for v in candidates],
+    scores = score_guesses(
+        surface, observation, [with_value(int(v)) for v in candidates]
     )
     return SweepResult(
         parameter=parameter,

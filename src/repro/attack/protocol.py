@@ -44,26 +44,21 @@ class AttackBudget:
 
     ``max_features`` bounds how many features the strategy targets (the
     arena scores exactly those); ``max_queries`` caps oracle calls (None
-    = unlimited); ``max_candidates`` caps key-guess evaluations per
-    feature for strategies that enumerate or sample candidates (None =
-    strategy default / exhaustive).
+    = unlimited).
     """
 
     max_features: int = 4
     max_queries: int | None = None
-    max_candidates: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_features < 1:
             raise ConfigurationError(
                 f"max_features must be >= 1, got {self.max_features}"
             )
-        for name in ("max_queries", "max_candidates"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigurationError(
-                    f"{name} must be >= 1 or None, got {value}"
-                )
+        if self.max_queries is not None and self.max_queries < 1:
+            raise ConfigurationError(
+                f"max_queries must be >= 1 or None, got {self.max_queries}"
+            )
 
     def features(self, surface: LockedSurface) -> range:
         """The features an attacker targets under this budget.

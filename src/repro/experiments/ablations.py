@@ -13,6 +13,10 @@ produces a small, assertable report:
   enhanced" — growing the pool buys more security at higher depth.
 * :func:`naive_attack_on_locked` — the Sec. 3 attack, pointed at a
   locked encoder, loses its dip: no candidate scores better than chance.
+* :func:`single_layer_breakability` — the arena's exhaustive
+  single-layer sweep (:class:`repro.arena.attackers.BruteForceSweeper`)
+  breaks an ``L = 1`` key outright; its measured guess rate projects
+  the ``L = 2`` search through :mod:`repro.attack.complexity`.
 """
 
 from __future__ import annotations
@@ -22,14 +26,16 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.attack.adaptive import (
-    attack_single_layer,
-    extrapolate_multi_layer_seconds,
+from repro.arena.attackers import BruteForceSweeper
+from repro.attack.complexity import (
+    hdlock_guesses_per_feature,
+    hdlock_total_guesses,
+    reasoning_seconds_estimate,
 )
-from repro.attack.complexity import hdlock_guesses_per_feature
 from repro.attack.feature_extraction import guess_distance_series
 from repro.attack.threat_model import expose_locked_model, expose_model
 from repro.attack.hdlock_attack import as_attack_surface
+from repro.attack.protocol import AttackBudget
 from repro.attack.value_extraction import extract_value_mapping
 from repro.encoding.record import RecordEncoder
 from repro.experiments.config import DEFAULT_SEED, ExperimentScale, active_scale
@@ -38,8 +44,10 @@ from repro.hdlock.lock import create_locked_encoder
 from repro.hv.level import level_hvs
 from repro.hv.ops import permute_rows
 from repro.hv.properties import level_linearity_report, orthogonality_report
+from repro.memory.key import LockKey
 from repro.utils.rng import derive_seed, resolve_rng
 from repro.utils.tables import render_table
+from repro.utils.timer import Timer
 
 #: Payload fields derived from wall-clock measurement; the runner strips
 #: them from the deterministic artifact (see ``records.split_volatile``).
@@ -223,13 +231,23 @@ def single_layer_breakability(
         rng=derive_seed(seed, "l1"),
     )
     surface, _ = expose_locked_model(system.encoder, binary=True)
-    result = attack_single_layer(surface)
+    with Timer() as timer:
+        outcome = BruteForceSweeper().run(
+            surface, AttackBudget(max_features=n_features), resolve_rng(seed)
+        )
+    subkeys = [g.subkey for g in outcome.guesses if g.subkey is not None]
+    key_recovered = (
+        len(subkeys) == n_features
+        and LockKey(subkeys, pool_size=pool_size, dim=dim) == system.key
+    )
+    guesses = outcome.candidates_scored
     return SingleLayerBreakability(
-        key_recovered=result.recovered == system.key,
-        measured_seconds=result.seconds,
-        guesses=result.guesses,
-        projected_l2_seconds=extrapolate_multi_layer_seconds(
-            result, surface, 2
+        key_recovered=key_recovered,
+        measured_seconds=timer.elapsed,
+        guesses=guesses,
+        projected_l2_seconds=reasoning_seconds_estimate(
+            hdlock_total_guesses(n_features, dim, pool_size, 2),
+            timer.elapsed / max(guesses, 1),
         ),
     )
 

@@ -22,7 +22,6 @@ from repro.arena import (
     make_attacker,
 )
 from repro.attack import feature_extraction
-from repro.attack.adaptive import best_single_layer_guess, score_rotations
 from repro.attack.bruteforce import score_matrix
 from repro.attack.countermeasures import (
     GuardedOracle,
@@ -36,8 +35,10 @@ from repro.attack.feature_extraction import (
 )
 from repro.attack.hdlock_attack import (
     DifferenceObservation,
+    best_single_layer_guess,
     observe_difference,
     rotation_correlation,
+    score_rotations,
 )
 from repro.attack.protocol import AttackBudget
 from repro.attack.threat_model import (
@@ -58,11 +59,11 @@ N, M, D, P = 12, 6, 512, 8
 # -- executable specs of the replaced loops --------------------------------
 
 
-def gather_scores(surface, observation, index, rotations=None):
-    """Per-row gather spec: all requested rotations of one pool row."""
+def gather_scores(surface, observation, index):
+    """Per-row gather spec: all rotations of one pool row."""
     support = observation.support
     dim = surface.dim
-    rots = np.arange(dim) if rotations is None else np.asarray(rotations)
+    rots = np.arange(dim)
     v_delta = (
         surface.value_matrix[0].astype(np.int64)
         - surface.value_matrix[-1].astype(np.int64)
@@ -83,17 +84,16 @@ def gather_scores(surface, observation, index, rotations=None):
     return 1.0 - (predicted @ target_vec) / (norms * target_norm)
 
 
-def loop_best_guess(surface, observation, rotations=None):
+def loop_best_guess(surface, observation):
     """Per-row sweep spec: strict improvement, first index then rotation."""
     best_score = np.inf
     best_pair = (0, 0)
     for index in range(surface.pool_size):
-        scores = gather_scores(surface, observation, index, rotations)
+        scores = gather_scores(surface, observation, index)
         local = int(np.argmin(scores))
         if scores[local] < best_score:
             best_score = float(scores[local])
-            rotation = local if rotations is None else int(rotations[local])
-            best_pair = (index, rotation)
+            best_pair = (index, local)
     return best_pair, best_score
 
 
@@ -221,33 +221,15 @@ class TestRotationKernel:
             )
 
     @pytest.mark.parametrize("binary", [True, False])
-    def test_rotation_subset_matches_gather_spec(self, binary):
-        surface = locked(binary, seed=4)
-        observation = observe_difference(surface, feature=1)
-        rotations = np.array([0, 5, 17, 255, 256, 511])
-        scores = score_rotations(surface, observation, rotations=rotations)
-        assert scores.shape == (P, rotations.size)
-        for index in range(P):
-            np.testing.assert_array_equal(
-                scores[index],
-                gather_scores(surface, observation, index, rotations),
-            )
-
-    @pytest.mark.parametrize("binary", [True, False])
-    @pytest.mark.parametrize("max_candidates", [None, 64 * P])
-    def test_best_guess_matches_loop(self, binary, max_candidates):
+    def test_best_guess_matches_loop(self, binary):
         surface = locked(binary, seed=5)
         observation = observe_difference(surface, feature=2)
-        subkey, score, guesses = best_single_layer_guess(
-            surface, 2, observation=observation, max_candidates=max_candidates
+        subkey, score = best_single_layer_guess(
+            score_rotations(surface, observation)
         )
-        rotations = None
-        if max_candidates is not None:
-            rotations = np.unique((np.arange(64) * (D / 64)).astype(np.int64))
-        pair, expected = loop_best_guess(surface, observation, rotations)
+        pair, expected = loop_best_guess(surface, observation)
         assert (subkey.indices[0], subkey.rotations[0]) == pair
         assert score == expected
-        assert guesses == P * (D if rotations is None else rotations.size)
 
     @pytest.mark.parametrize("binary", [True, False])
     def test_tie_goes_to_first_index_then_first_rotation(self, binary):
@@ -255,7 +237,7 @@ class TestRotationKernel:
         scores = score_rotations(surface, observation)
         best = scores.min()
         assert scores[0, 3] == scores[0, 11] == scores[2, 2] == scores[2, 10] == best
-        subkey, score, _ = best_single_layer_guess(surface, 0, observation=observation)
+        subkey, score = best_single_layer_guess(scores)
         assert (subkey.indices[0], subkey.rotations[0]) == (0, 3)
         assert ((0, 3), score) == loop_best_guess(surface, observation)
 

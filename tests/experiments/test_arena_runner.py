@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +22,10 @@ from repro.experiments.arena import (
     run_arena_cell,
 )
 from repro.experiments.cache import DiskCache
-from repro.experiments.runner import main
+from repro.experiments.config import DEFAULT_SEED, REDUCED_SCALE
+from repro.experiments.runner import child_seed, main
+
+README = Path(__file__).resolve().parents[2] / "README.md"
 
 
 @pytest.fixture
@@ -123,6 +128,47 @@ class TestCellDeterminism:
         table = render_arena(result)
         assert "broken" in table  # adaptive vs shallow-l1
         assert "held" in table  # everything vs baseline-l2
+
+
+def table_rows(lines: list[str]) -> list[dict[str, str]]:
+    """Parse a rendered ``a | b | c`` table into one dict per data row."""
+    rows = [
+        [field.strip() for field in line.split("|")]
+        for line in lines
+        if "|" in line
+    ]
+    header, body = rows[0], rows[1:]
+    return [dict(zip(header, row)) for row in body]
+
+
+def readme_excerpt() -> list[dict[str, str]]:
+    """The matrix excerpt in README's "Attack arena" section."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Attack arena", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```\w*\n(.*?)^```", section, re.M | re.S)
+    (block,) = [b for b in blocks if "key dist" in b]
+    return table_rows(block.splitlines())
+
+
+class TestReadmeExcerpt:
+    def test_excerpt_matches_a_fresh_run(self):
+        # README says the excerpt is copied from the reduced-scale
+        # arena.json at the default seed; rerun exactly those cells and
+        # compare every column the excerpt shows (defender, attacker,
+        # recovered, key dist, status)
+        excerpt = readme_excerpt()
+        assert len(excerpt) >= 5
+        assert "status" in excerpt[0]
+        seed = child_seed(DEFAULT_SEED, "arena")
+        cells = tuple(
+            run_arena_cell(
+                row["attacker"], row["defender"], scale=REDUCED_SCALE, seed=seed
+            )
+            for row in excerpt
+        )
+        fresh = table_rows(render_arena(ArenaResult(cells=cells)).splitlines())
+        for want, got in zip(excerpt, fresh, strict=True):
+            assert {column: got[column] for column in want} == want
 
 
 class TestArenaAcceptance:
