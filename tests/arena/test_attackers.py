@@ -18,11 +18,7 @@ from repro.arena import (
     evaluate_outcome,
     make_attacker,
 )
-from repro.arena.attackers import ACCEPT_THRESHOLD, BruteForceSweeper
 from repro.attack.protocol import AttackBudget
-from repro.attack.threat_model import expose_locked_model
-from repro.hdlock.lock import create_locked_encoder
-from repro.memory.key import LockKey
 
 N_FEATURES = 16
 LEVELS = 8
@@ -73,24 +69,6 @@ class TestBruteForceSweeper:
         outcome, evaluation = arena_cell(attacker, "monitored-l1")
         assert outcome.locked_out
         assert evaluation.features_recovered < 4
-
-    @pytest.mark.parametrize("binary", [True, False])
-    def test_recovers_the_full_key(self, binary):
-        # every feature of an L = 1 key, two crafted queries per feature,
-        # all N * P * D single-layer guesses scored
-        n, m, dim, pool = 12, 6, 512, 8
-        system = create_locked_encoder(
-            n_features=n, levels=m, dim=dim, layers=1, pool_size=pool, rng=0
-        )
-        surface, _ = expose_locked_model(system.encoder, binary=binary)
-        outcome = BruteForceSweeper().run(
-            surface, AttackBudget(max_features=n), np.random.default_rng(0)
-        )
-        subkeys = [g.subkey for g in outcome.guesses]
-        assert LockKey(subkeys, pool_size=pool, dim=dim) == system.key
-        assert max(g.score for g in outcome.guesses) < ACCEPT_THRESHOLD
-        assert outcome.queries == 2 * n
-        assert outcome.candidates_scored == n * pool * dim
 
 
 class TestAdaptiveExtractor:

@@ -1,72 +1,70 @@
-"""Tests for the exhaustive single-layer key-recovery attack."""
+"""Tests for the exhaustive single-layer key sweep and its L = 2 projection.
 
+The sweep is the arena's :class:`BruteForceSweeper`; the measured sweep
+and its projection to deeper keys are
+:func:`repro.experiments.ablations.single_layer_breakability`.
+"""
+
+import numpy as np
 import pytest
 
-from repro.attack.adaptive import (
-    attack_single_layer,
-    extrapolate_multi_layer_seconds,
-)
+from repro.arena.attackers import ACCEPT_THRESHOLD, BruteForceSweeper
+from repro.attack.complexity import hdlock_total_guesses, reasoning_seconds_estimate
+from repro.attack.protocol import AttackBudget
 from repro.attack.threat_model import expose_locked_model
-from repro.errors import AttackError, ConfigurationError
+from repro.experiments.ablations import single_layer_breakability
 from repro.hdlock.lock import create_locked_encoder
+from repro.memory.key import LockKey
 
 N, M, D, P = 12, 6, 512, 8
 
 
-def deploy(layers: int, binary: bool, seed: int = 0):
+def sweep(binary: bool, seed: int = 0):
     system = create_locked_encoder(
-        n_features=N, levels=M, dim=D, layers=layers, pool_size=P, rng=seed
+        n_features=N, levels=M, dim=D, layers=1, pool_size=P, rng=seed
     )
     surface, _ = expose_locked_model(system.encoder, binary=binary)
-    return system, surface
+    outcome = BruteForceSweeper().run(
+        surface, AttackBudget(max_features=N), np.random.default_rng(seed)
+    )
+    return system, surface, outcome
+
+
+@pytest.fixture(scope="module")
+def breakability():
+    return single_layer_breakability(
+        n_features=N, levels=M, dim=D, pool_size=P, seed=3
+    )
 
 
 class TestAttackSingleLayer:
     @pytest.mark.parametrize("binary", [True, False])
     def test_recovers_the_key(self, binary):
-        system, surface = deploy(layers=1, binary=binary)
-        result = attack_single_layer(surface)
-        assert result.recovered == system.key
-        assert result.guesses == N * P * D
-        assert result.scores.max() < 0.12
+        system, _, outcome = sweep(binary=binary)
+        subkeys = [g.subkey for g in outcome.guesses]
+        assert LockKey(subkeys, pool_size=P, dim=D) == system.key
+        assert outcome.candidates_scored == N * P * D
+        assert max(g.score for g in outcome.guesses) < ACCEPT_THRESHOLD
 
-    def test_reports_timing(self):
-        _, surface = deploy(layers=1, binary=True, seed=1)
-        result = attack_single_layer(surface)
-        assert result.seconds > 0
-        assert result.per_guess_seconds > 0
-
-    def test_refuses_two_layer_deployment(self):
-        """Against L=2 no single-layer key explains the observations —
-        the attack must fail loudly, not return garbage."""
-        _, surface = deploy(layers=2, binary=True, seed=2)
-        with pytest.raises(AttackError):
-            attack_single_layer(surface)
+    def test_reports_timing(self, breakability):
+        assert breakability.key_recovered
+        assert breakability.guesses == N * P * D
+        assert breakability.measured_seconds > 0
+        assert breakability.measured_seconds / breakability.guesses > 0
 
     def test_oracle_budget_is_two_per_feature(self):
-        _, surface = deploy(layers=1, binary=True, seed=3)
-        before = surface.oracle.n_queries
-        attack_single_layer(surface)
-        assert surface.oracle.n_queries - before == 2 * N
+        _, surface, outcome = sweep(binary=True, seed=3)
+        assert outcome.queries == surface.oracle.n_queries == 2 * N
 
 
 class TestExtrapolation:
-    def test_scales_with_layers(self):
-        _, surface = deploy(layers=1, binary=True, seed=4)
-        result = attack_single_layer(surface)
-        t1 = extrapolate_multi_layer_seconds(result, surface, 1)
-        t2 = extrapolate_multi_layer_seconds(result, surface, 2)
-        assert t2 / t1 == pytest.approx(D * P)
+    def test_scales_with_layers(self, breakability):
+        assert breakability.l2_infeasible_factor == pytest.approx(D * P)
 
-    def test_l1_extrapolation_consistent_with_measurement(self):
+    def test_l1_extrapolation_consistent_with_measurement(self, breakability):
         """The L=1 projection must be the measured runtime (same count)."""
-        _, surface = deploy(layers=1, binary=True, seed=5)
-        result = attack_single_layer(surface)
-        projected = extrapolate_multi_layer_seconds(result, surface, 1)
-        assert projected == pytest.approx(result.seconds, rel=0.01)
-
-    def test_invalid_layers(self):
-        _, surface = deploy(layers=1, binary=True, seed=6)
-        result = attack_single_layer(surface)
-        with pytest.raises(ConfigurationError):
-            extrapolate_multi_layer_seconds(result, surface, 0)
+        per_guess = breakability.measured_seconds / breakability.guesses
+        projected = reasoning_seconds_estimate(
+            hdlock_total_guesses(N, D, P, 1), per_guess
+        )
+        assert projected == pytest.approx(breakability.measured_seconds, rel=0.01)

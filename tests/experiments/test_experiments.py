@@ -335,18 +335,6 @@ class TestAblations:
         assert synergy.gain_at_l1 == pytest.approx(7.0)
         assert synergy.gain_at_l3 == pytest.approx(7.0**3)
 
-    def test_single_layer_sweep_counts_and_projection(self):
-        # every one of the N * P * D single-layer guesses is scored, and
-        # the L = 2 projection is D * P times the measured L = 1 sweep
-        n, dim, pool = 12, 512, 8
-        result = single_layer_breakability(
-            n_features=n, dim=dim, pool_size=pool, seed=3
-        )
-        assert result.key_recovered
-        assert result.guesses == n * pool * dim
-        assert result.measured_seconds > 0
-        assert result.l2_infeasible_factor == pytest.approx(dim * pool)
-
     @pytest.mark.slow
     def test_single_layer_breaks_and_l2_is_out_of_reach(self):
         # The L = 2 projection scales the measured L = 1 guess rate.
