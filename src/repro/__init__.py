@@ -34,8 +34,7 @@ budget exists because the naive fully vectorized form materializes a
 ``(B, N, D)`` gather — gigabytes at D = 10,000 — whereas a bounded tile
 keeps the hot loop in cache and lets arbitrarily large batches (the
 "heavy traffic" regime) run in constant memory. Large-pool similarity search uses the
-matching batched kernels :func:`repro.hv.similarity.nearest_batch`,
-:func:`repro.hv.packing.hamming_packed`, and
+matching batched kernels :func:`repro.hv.packing.hamming_packed` and
 :func:`repro.hv.packing.pairwise_hamming_packed`.
 
 Packed end-to-end flow

@@ -61,8 +61,6 @@ from repro.hv.similarity import (
     dot,
     hamming,
     is_bipolar,
-    nearest,
-    nearest_batch,
     pairwise_hamming,
 )
 
@@ -94,8 +92,6 @@ __all__ = [
     "dot",
     "hamming",
     "is_bipolar",
-    "nearest",
-    "nearest_batch",
     "pairwise_hamming",
     "pack_words",
     "unpack_words",

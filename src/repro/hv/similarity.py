@@ -55,17 +55,17 @@ def cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
     return float(result) if np.ndim(result) == 0 else result
 
 
-def pairwise_hamming(pool: np.ndarray, chunk_size: int | None = None) -> np.ndarray:
+def pairwise_hamming(pool: np.ndarray) -> np.ndarray:
     """All-pairs normalized Hamming distance matrix of a ``(K, D)`` pool.
 
     Computed through the Gram matrix (``hamming = (1 - gram/D) / 2``)
     which is a BLAS ``K x K`` matmul instead of ``K^2`` vector passes —
     exact for bipolar pools since every dot product is an integer well
-    inside the float64 mantissa. Rows are processed in ``chunk_size``
-    blocks (default: all at once below 4096 rows, 1024-row tiles above),
-    which bounds the per-tile gram temporary; note the pool itself is
-    still cast to one full ``(K, D)`` float64 copy and the ``(K, K)``
-    output is dense — for pools too large for that, use the bit-packed
+    inside the float64 mantissa. Rows are processed all at once below
+    4096 rows and in 1024-row tiles above, which bounds the per-tile
+    gram temporary; note the pool itself is still cast to one full
+    ``(K, D)`` float64 copy and the ``(K, K)`` output is dense — for
+    pools too large for that, use the bit-packed
     :func:`repro.hv.packing.pairwise_hamming_packed` (8x leaner inputs).
     The attacker uses this on the published value-HV pool to find the
     two extreme levels (Sec. 3.2, "Value Hypervector Extraction").
@@ -74,9 +74,7 @@ def pairwise_hamming(pool: np.ndarray, chunk_size: int | None = None) -> np.ndar
     if mat.ndim != 2:
         raise ValueError(f"expected a (K, D) pool, got shape {mat.shape}")
     k, d = mat.shape
-    if chunk_size is None:
-        chunk_size = k if k <= 4096 else 1024
-    chunk = max(1, int(chunk_size))
+    chunk = k if k <= 4096 else 1024
     mat_f = mat.astype(np.float64, copy=False)
     out = np.empty((k, k), dtype=np.float64)
     for start in range(0, k, chunk):
@@ -84,19 +82,6 @@ def pairwise_hamming(pool: np.ndarray, chunk_size: int | None = None) -> np.ndar
         gram = mat_f[start:stop] @ mat_f.T
         out[start:stop] = (1.0 - gram / d) / 2.0
     return out
-
-
-def nearest(pool: np.ndarray, target: np.ndarray, metric: str = "hamming") -> int:
-    """Index of the pool row most similar to ``target``.
-
-    ``metric`` is ``"hamming"`` (smaller is closer, binary models) or
-    ``"cosine"`` (larger is closer, non-binary models).
-    """
-    if metric == "hamming":
-        return int(np.argmin(hamming(pool, target)))
-    if metric == "cosine":
-        return int(np.argmax(cosine(pool, target)))
-    raise ValueError(f"unknown metric {metric!r}; expected 'hamming' or 'cosine'")
 
 
 def is_bipolar(arr: np.ndarray) -> bool:
@@ -132,45 +117,3 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     num = a_f @ b_f.T
     denom = np.linalg.norm(a_f, axis=1)[:, None] * np.linalg.norm(b_f, axis=1)
     return np.where(denom == 0, 0.0, num / np.where(denom == 0, 1.0, denom))
-
-
-def nearest_batch(
-    pool: np.ndarray,
-    targets: np.ndarray,
-    metric: str = "hamming",
-    chunk_size: int | None = None,
-) -> np.ndarray:
-    """Index of the most similar pool row for each of ``(B, D)`` targets.
-
-    The batched form of :func:`nearest`: one call scores every target
-    against every pool row and returns a length-``B`` index array.
-    Bipolar pools under the Hamming metric go through the bit-packed
-    XOR-popcount kernel (8x less memory traffic, tiled by
-    ``chunk_size``); everything else uses dense broadcasting. Ties
-    resolve to the lowest index, exactly like per-target
-    :func:`nearest`.
-    """
-    pool_arr = np.asarray(pool)
-    targets_arr = np.atleast_2d(np.asarray(targets))
-    if pool_arr.ndim != 2:
-        raise ValueError(f"expected a (K, D) pool, got shape {pool_arr.shape}")
-    check_same_dim(pool_arr, targets_arr)
-    if targets_arr.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    if metric == "hamming":
-        if is_bipolar(pool_arr) and is_bipolar(targets_arr):
-            from repro.hv.packing import pack_words, pairwise_hamming_packed
-
-            distances = pairwise_hamming_packed(
-                pack_words(targets_arr),
-                pack_words(pool_arr),
-                pool_arr.shape[1],
-                chunk_size,
-            )
-        else:
-            distances = np.stack([hamming(pool_arr, t) for t in targets_arr])
-        return np.argmin(distances, axis=1)
-    if metric == "cosine":
-        similarities = np.stack([cosine(pool_arr, t) for t in targets_arr])
-        return np.argmax(similarities, axis=1)
-    raise ValueError(f"unknown metric {metric!r}; expected 'hamming' or 'cosine'")

@@ -106,15 +106,14 @@ class HDClassifier:
         samples: np.ndarray,
         labels: np.ndarray,
         epochs: int = 5,
-        learning_rate: float = 1.0,
         encoded: Optional[np.ndarray] = None,
     ) -> list[float]:
         """QuantHD-style iterative refinement of the class memory.
 
-        For each misclassified sample the encoded HV is added (scaled by
-        ``learning_rate``) to the true class accumulator and subtracted
-        from the predicted one. Returns the training accuracy after each
-        epoch. Requires :meth:`fit` (or a previous retrain) first.
+        For each misclassified sample the encoded HV is added to the
+        true class accumulator and subtracted from the predicted one.
+        Returns the training accuracy after each epoch. Requires
+        :meth:`fit` (or a previous retrain) first.
         """
         if self._accums is None:
             raise ConfigurationError("fit the model before retraining")
@@ -136,9 +135,13 @@ class HDClassifier:
                 predictions = self._predict_encoded(encoded)
             wrong = np.flatnonzero(predictions != labels_arr)
             if wrong.size:
-                updates = learning_rate * encoded_f[wrong]
-                np.add.at(self._accums, labels_arr[wrong], updates)
-                np.add.at(self._accums, predictions[wrong], -updates)
+                # The updates as one signed one-hot matmul (+1 at the
+                # true class, -1 at the predicted one), exact like fit's.
+                signed = np.zeros((wrong.size, self.n_classes))
+                rows = np.arange(wrong.size)
+                signed[rows, labels_arr[wrong]] = 1.0
+                signed[rows, predictions[wrong]] = -1.0
+                self._accums += signed.T @ encoded_f[wrong]
                 self._binary_classes = None
                 self._packed_classes = None
             history.append(1.0 - wrong.size / labels_arr.shape[0])

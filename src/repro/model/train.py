@@ -1,9 +1,9 @@
 """High-level training entry points used by the experiments.
 
 Building a "well-performing HDC model" (the IP the paper defends)
-involves one-shot accumulation plus a few retraining epochs with a
-learning rate — the hyperparameter tuning the paper's introduction cites
-as part of the model's value. :func:`train_model` packages that recipe.
+involves one-shot accumulation plus a few retraining epochs — the
+tuning the paper's introduction cites as part of the model's value.
+:func:`train_model` packages that recipe.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ def train_model(
     n_classes: int,
     binary: bool = True,
     retrain_epochs: int = 3,
-    learning_rate: float = 1.0,
     rng: SeedLike = None,
 ) -> TrainingResult:
     """One-shot fit followed by ``retrain_epochs`` of refinement.
@@ -47,11 +46,7 @@ def train_model(
     encoded = model.encode_training(train_x)
     model.fit(train_x, train_y, encoded=encoded)
     history = model.retrain(
-        train_x,
-        train_y,
-        epochs=retrain_epochs,
-        learning_rate=learning_rate,
-        encoded=encoded,
+        train_x, train_y, epochs=retrain_epochs, encoded=encoded
     )
     final = history[-1] if history else _train_accuracy(model, encoded, train_y)
     return TrainingResult(model=model, train_accuracy=final, history=tuple(history))

@@ -160,7 +160,13 @@ def self_check() -> int:
             status_body = statusz.json()
             assert status_body["status"] == "ok"
             assert status_body["uptime_s"] >= 0
-            assert status_body["batchers"]["tenant0"]["classify"]["requests"] >= 2
+            requests = status_body["metrics"]["repro_requests_total"]
+            assert any(
+                sample["labels"]
+                == {"tenant": "tenant0", "op": "classify", "outcome": "ok"}
+                and sample["value"] >= 2
+                for sample in requests["samples"]
+            ), requests
             assert status_body["tenants"]["tenant1"]["revoked"] is True
             verdict["statusz_tenants"] = sorted(status_body["tenants"])
         verdict["ok"] = True

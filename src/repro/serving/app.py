@@ -66,7 +66,8 @@ def create_app(
     stdlib server) gets deterministic drain-on-shutdown for free.
 
     ``instrument=False`` swaps the metrics registry for no-ops —
-    ``/metrics`` serves an empty body and the request path pays nothing;
+    ``/metrics`` serves an empty body, ``/statusz`` an empty ``metrics``
+    section (so no batching numbers), and the request path pays nothing;
     the serving bench uses it to measure instrumentation overhead.
     """
     metrics = MetricsRegistry() if instrument else NullMetrics()
@@ -79,7 +80,7 @@ def create_app(
         on_error=map_error,
     )
     # The service object is reachable for in-process callers (tests,
-    # bench) that want batching stats without an HTTP round-trip.
+    # bench) that want its metrics without an HTTP round-trip.
     app.service = service
 
     @app.get("/healthz")
@@ -92,8 +93,7 @@ def create_app(
 
     @app.get("/statusz")
     async def statusz(request: Request) -> JSONResponse:
-        reset = request.query.get("reset", "0") in {"1", "true"}
-        return JSONResponse(service.statusz(reset=reset))
+        return JSONResponse(service.statusz())
 
     @app.get("/v1/models")
     async def models(request: Request) -> JSONResponse:

@@ -42,49 +42,6 @@ class BatcherClosed(ServiceUnavailableError):
     """Submission after shutdown began."""
 
 
-class BatchStats:
-    """Counters describing how well the window coalesces traffic."""
-
-    __slots__ = ("requests", "rows", "batches", "largest_batch")
-
-    def __init__(self) -> None:
-        self.requests = 0
-        self.rows = 0
-        self.batches = 0
-        self.largest_batch = 0
-
-    @property
-    def mean_rows_per_batch(self) -> float:
-        return self.rows / self.batches if self.batches else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "rows": self.rows,
-            "batches": self.batches,
-            "largest_batch": self.largest_batch,
-            "mean_rows_per_batch": self.mean_rows_per_batch,
-        }
-
-    def reset(self) -> None:
-        self.requests = 0
-        self.rows = 0
-        self.batches = 0
-        self.largest_batch = 0
-
-    def snapshot(self, reset: bool = False) -> dict:
-        """The counters as a dict; optionally zero them afterwards.
-
-        Reset-on-read is what ``/statusz?reset=1`` uses so periodic
-        scrapers see per-interval coalescing behaviour instead of
-        since-boot aggregates.
-        """
-        out = self.to_dict()
-        if reset:
-            self.reset()
-        return out
-
-
 class MicroBatcher:
     """Coalesce concurrent ``(k, N)`` row chunks into one batch call.
 
@@ -120,7 +77,6 @@ class MicroBatcher:
         #: Occupancy observer: called with the stacked row count once
         #: per flush (the service wires a histogram child's observe).
         self._on_flush = on_flush
-        self.stats = BatchStats()
         self._pending: list[tuple[np.ndarray, asyncio.Future]] = []
         self._pending_rows = 0
         self._timer: asyncio.TimerHandle | None = None
@@ -141,7 +97,6 @@ class MicroBatcher:
         future: asyncio.Future = loop.create_future()
         self._pending.append((rows, future))
         self._pending_rows += int(rows.shape[0])
-        self.stats.requests += 1
         if self._pending_rows >= self.max_batch:
             self._flush()
         elif self._timer is None:
@@ -163,11 +118,6 @@ class MicroBatcher:
         self._pending_rows = 0
         chunks = [rows for rows, _ in window]
         stacked = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        self.stats.batches += 1
-        self.stats.rows += int(stacked.shape[0])
-        self.stats.largest_batch = max(
-            self.stats.largest_batch, int(stacked.shape[0])
-        )
         if self._on_flush is not None:
             self._on_flush(int(stacked.shape[0]))
         try:

@@ -118,7 +118,7 @@ class Tenant:
             )
         self._verified_generation = self.store.generation
 
-    def descriptor(self, batch_stats: dict | None = None) -> TenantDescriptor:
+    def descriptor(self) -> TenantDescriptor:
         """The ``/v1/models`` entry for this tenant."""
         return TenantDescriptor(
             name=self.name,
@@ -131,7 +131,6 @@ class Tenant:
             device_id=self.device_id,
             generation=self.store.generation,
             revoked=self.store.is_revoked(self.device_id),
-            batch_stats=batch_stats or {},
         )
 
 

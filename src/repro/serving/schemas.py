@@ -112,7 +112,6 @@ class TenantDescriptor:
     device_id: int
     generation: int
     revoked: bool
-    batch_stats: dict[str, Any]
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -126,7 +125,6 @@ class TenantDescriptor:
             "device_id": self.device_id,
             "generation": self.generation,
             "revoked": self.revoked,
-            "batch_stats": dict(self.batch_stats),
         }
 
 

@@ -79,12 +79,6 @@ class _TenantLane:
             on_flush=_observer("classify"),
         )
 
-    def stats(self, reset: bool = False) -> dict:
-        return {
-            "encode": self.encode.stats.snapshot(reset=reset),
-            "classify": self.classify.stats.snapshot(reset=reset),
-        }
-
 
 class InferenceService:
     """Multi-tenant locked-inference core over a :class:`ModelRegistry`."""
@@ -182,13 +176,8 @@ class InferenceService:
         )
 
     def models(self) -> dict:
-        """The ``/v1/models`` listing with live batching stats."""
-        entries = []
-        for tenant in self.registry:
-            lane = self._lanes.get(tenant.name)
-            entries.append(
-                tenant.descriptor(lane.stats() if lane else {}).to_dict()
-            )
+        """The ``/v1/models`` listing: one descriptor per tenant."""
+        entries = [tenant.descriptor().to_dict() for tenant in self.registry]
         return {"models": sorted(entries, key=lambda e: e["name"])}
 
     def _admit(self, tenant_name: str) -> tuple[Tenant, _TenantLane]:
@@ -307,21 +296,17 @@ class InferenceService:
             return None
         return time.monotonic() - self._started_monotonic
 
-    def statusz(self, reset: bool = False) -> dict:
-        """The ``/statusz`` body: batchers, tenants, uptime, metrics.
+    def statusz(self) -> dict:
+        """The ``/statusz`` body: tenants, uptime, metrics.
 
-        ``reset=True`` zeroes the per-lane :class:`BatchStats` after
-        reading them (``/statusz?reset=1``), giving periodic scrapers
-        per-interval coalescing numbers instead of since-boot totals.
+        Batching numbers live only in ``metrics``: batches and rows are
+        the count and sum of ``repro_batch_occupancy_rows`` per
+        ``(tenant, op)``, requests are ``repro_requests_total``.
         """
         return {
             "status": "ok",
             "version": repro.__version__,
             "uptime_s": self.uptime_s(),
             "tenants": self.registry.status(),
-            "batchers": {
-                name: lane.stats(reset=reset)
-                for name, lane in sorted(self._lanes.items())
-            },
             "metrics": self.metrics.snapshot(),
         }

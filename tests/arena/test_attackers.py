@@ -84,10 +84,12 @@ class TestAdaptiveExtractor:
         assert evaluation.features_recovered == 0
         assert evaluation.key_distance == pytest.approx(0.5)
 
-    def test_cheaper_than_bruteforce_when_it_separates(self):
+    def test_scores_as_many_candidates_as_bruteforce(self):
+        # Both score the whole (P, D) matrix of every feature; the
+        # threshold only decides whether to commit.
         adaptive, _ = arena_cell("adaptive", "shallow-l1")
         brute, _ = arena_cell("bruteforce", "shallow-l1")
-        assert 0 < adaptive.candidates_scored < brute.candidates_scored
+        assert adaptive.candidates_scored == brute.candidates_scored > 0
 
 
 class TestDifferentialProber:

@@ -337,10 +337,12 @@ class TestAblations:
 
     @pytest.mark.slow
     def test_single_layer_breaks_and_l2_is_out_of_reach(self):
-        # The L = 2 projection scales the measured L = 1 guess rate.
+        # The L = 2 projection scales the measured L = 1 guess rate by
+        # the D * P single-layer guesses per feature (D = 512, P = 8 at
+        # the default shape), whatever the timing.
         result = single_layer_breakability(seed=DEFAULT_SEED)
         assert result.key_recovered
-        assert result.l2_infeasible_factor > 1e3
+        assert result.l2_infeasible_factor == pytest.approx(512 * 8)
 
     def test_naive_attack_comparison(self, test_scale):
         naive = naive_attack_on_locked(

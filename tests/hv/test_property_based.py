@@ -21,7 +21,7 @@ from repro.hv.packing import (
     unpack_words,
 )
 from repro.hv.random import random_pool
-from repro.hv.similarity import hamming, nearest, nearest_batch, pairwise_hamming
+from repro.hv.similarity import hamming
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -83,42 +83,4 @@ def test_pairwise_packed_matches_dense(dim, ka, kb, seed, chunk):
     b = random_pool(kb, dim, rng=seed + 1)
     got = pairwise_hamming_packed(pack_words(a), pack_words(b), dim, chunk_size=chunk)
     want = np.array([[float(hamming(x, y)) for y in b] for x in a])
-    np.testing.assert_array_equal(got, want)
-
-
-@given(
-    st.integers(min_value=2, max_value=160),
-    counts,
-    seeds,
-    st.integers(min_value=1, max_value=5),
-)
-@SETTINGS
-def test_pairwise_hamming_chunking_invariant(dim, count, seed, chunk):
-    pool = random_pool(count, dim, rng=seed)
-    np.testing.assert_allclose(
-        pairwise_hamming(pool, chunk_size=chunk), pairwise_hamming(pool)
-    )
-
-
-@given(st.integers(min_value=8, max_value=160), counts, counts, seeds)
-@SETTINGS
-def test_nearest_batch_matches_nearest(dim, pool_count, target_count, seed):
-    pool = random_pool(pool_count, dim, rng=seed)
-    targets = random_pool(target_count, dim, rng=seed + 7)
-    for metric in ("hamming", "cosine"):
-        got = nearest_batch(pool, targets, metric=metric)
-        want = np.array([nearest(pool, t, metric=metric) for t in targets])
-        np.testing.assert_array_equal(got, want)
-
-
-@given(st.integers(min_value=8, max_value=96), counts, seeds)
-@SETTINGS
-def test_nearest_batch_nonbipolar_fallback(dim, count, seed):
-    # Integer (non-bipolar) pools take the dense path; decisions must
-    # still match per-target nearest().
-    gen = np.random.default_rng(seed)
-    pool = gen.integers(-3, 4, size=(count, dim))
-    targets = gen.integers(-3, 4, size=(3, dim))
-    got = nearest_batch(pool, targets, metric="hamming")
-    want = np.array([nearest(pool, t, metric="hamming") for t in targets])
     np.testing.assert_array_equal(got, want)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import DimensionMismatchError
 from repro.hv.random import random_hv, random_pool
-from repro.hv.similarity import cosine, dot, hamming, nearest, pairwise_hamming
+from repro.hv.similarity import cosine, dot, hamming, pairwise_hamming
 
 DIM = 512
 
@@ -97,18 +97,3 @@ class TestPairwiseHamming:
     def test_requires_matrix(self, rng):
         with pytest.raises(ValueError):
             pairwise_hamming(random_hv(DIM, rng))
-
-
-class TestNearest:
-    def test_hamming_metric(self, rng):
-        pool = random_pool(10, DIM, rng)
-        assert nearest(pool, pool[7], metric="hamming") == 7
-
-    def test_cosine_metric(self, rng):
-        pool = random_pool(10, DIM, rng)
-        assert nearest(pool, pool[4], metric="cosine") == 4
-
-    def test_unknown_metric(self, rng):
-        pool = random_pool(2, DIM, rng)
-        with pytest.raises(ValueError):
-            nearest(pool, pool[0], metric="euclid")

@@ -92,6 +92,26 @@ class TestRetrain:
         with pytest.raises(ConfigurationError):
             model.retrain(x, y, epochs=-1)
 
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_update_equals_scatter_reference(self, encoder, rng, binary):
+        """The signed one-hot matmul is exact: it equals a per-row
+        ``np.add.at`` scatter even when wrong rows share a class."""
+        x, y = make_separable(rng)
+        y_noisy = y.copy()
+        y_noisy[:8] = 1  # eight class-0 rows, all relabelled to class 1
+        model = HDClassifier(encoder, C, binary=binary).fit(x, y_noisy)
+        encoded = model.encode_training(x)
+        predictions = model._predict_encoded(encoded)
+        wrong = np.flatnonzero(predictions != y_noisy)
+        assert np.bincount(y_noisy[wrong]).max() > 1
+        assert np.bincount(predictions[wrong]).max() > 1
+        expected = model.class_accumulators
+        updates = encoded[wrong].astype(np.float64)
+        np.add.at(expected, y_noisy[wrong], updates)
+        np.add.at(expected, predictions[wrong], -updates)
+        model.retrain(x, y_noisy, epochs=1, encoded=encoded)
+        np.testing.assert_array_equal(model.class_accumulators, expected)
+
     def test_encoded_reuse_matches(self, encoder, rng):
         x, y = make_separable(rng)
         m1 = HDClassifier(encoder, C, binary=False).fit(x, y)

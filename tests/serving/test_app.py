@@ -35,14 +35,26 @@ class TestHealthAndModels:
         assert entry["generation"] == 0
         assert entry["revoked"] is False
 
-    def test_models_reports_batching_stats(self, client):
+    def test_batching_stats_live_in_statusz_metrics(self, client):
         probe = [1] * 40
         client.post("/v1/alpha/classify", json={"sample": probe})
         (entry,) = client.get("/v1/models").json()["models"]
-        stats = entry["batch_stats"]["classify"]
-        assert stats["requests"] == 1
-        assert stats["batches"] == 1
-        assert stats["rows"] == 1
+        assert "batch_stats" not in entry
+        metrics = client.get("/statusz").json()["metrics"]
+        lane = {"tenant": "alpha", "op": "classify"}
+        (requests,) = [
+            s
+            for s in metrics["repro_requests_total"]["samples"]
+            if s["labels"] == {**lane, "outcome": "ok"}
+        ]
+        (occupancy,) = [
+            s
+            for s in metrics["repro_batch_occupancy_rows"]["samples"]
+            if s["labels"] == lane
+        ]
+        assert requests["value"] == 1
+        assert occupancy["count"] == 1  # batches
+        assert occupancy["sum"] == 1  # rows
 
 
 class TestInference:

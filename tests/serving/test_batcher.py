@@ -42,7 +42,10 @@ class RecordingRunner:
 class TestCoalescing:
     def test_concurrent_submits_share_one_batch(self):
         runner = RecordingRunner()
-        batcher = MicroBatcher(runner, max_batch=64, max_wait_s=0.01)
+        flushes: list[int] = []
+        batcher = MicroBatcher(
+            runner, max_batch=64, max_wait_s=0.01, on_flush=flushes.append
+        )
 
         async def scenario():
             rows = [np.array([[i]]) for i in range(10)]
@@ -55,9 +58,7 @@ class TestCoalescing:
         assert runner.calls[0].shape == (10, 1)
         for i, result in enumerate(results):
             np.testing.assert_array_equal(result, [[i * 10]])
-        assert batcher.stats.batches == 1
-        assert batcher.stats.requests == 10
-        assert batcher.stats.largest_batch == 10
+        assert flushes == [10]
 
     def test_full_window_flushes_without_timer(self):
         runner = RecordingRunner()
@@ -176,8 +177,12 @@ class TestBitParity:
 
         # Replica A serves the rows through one coalesced window.
         batched_encoder = load_tenant(tenant_dir).encoder
+        flushes: list[int] = []
         batcher = MicroBatcher(
-            batched_encoder.encode_batch_packed, max_batch=8, max_wait_s=0.05
+            batched_encoder.encode_batch_packed,
+            max_batch=8,
+            max_wait_s=0.05,
+            on_flush=flushes.append,
         )
 
         async def scenario():
@@ -186,7 +191,7 @@ class TestBitParity:
             )
 
         batched = np.concatenate(run(scenario()))
-        assert batcher.stats.batches == 1  # genuinely one kernel call
+        assert flushes == [8]  # genuinely one kernel call
 
         # Replica B runs the identical sequence one request at a time.
         sequential_encoder = load_tenant(tenant_dir).encoder

@@ -17,6 +17,16 @@ from repro.serving.testclient import TestClient
 PROBE = [1] * 40
 
 
+def _sample(metrics: dict, family: str, **labels: str) -> dict:
+    """The one ``/statusz`` metrics sample of tenant alpha with ``labels``."""
+    (sample,) = [
+        s
+        for s in metrics[family]["samples"]
+        if s["labels"] == {"tenant": "alpha", **labels}
+    ]
+    return sample
+
+
 @pytest.fixture
 def client(registry):
     with TestClient(create_app(registry, max_wait_s=0.001)) as client:
@@ -138,27 +148,23 @@ class TestStatusz:
         assert alpha["generation"] == alpha["provisioned_generation"] == 0
 
     def test_batcher_stats_are_exposed(self, client):
-        """Regression: BatchStats used to accumulate with no reader."""
+        """Requests, rows and batches per lane come from the registry."""
         client.post("/v1/alpha/classify", json={"samples": [PROBE, PROBE]})
-        stats = client.get("/statusz").json()["batchers"]["alpha"]["classify"]
-        assert stats["requests"] == 1
-        assert stats["rows"] == 2
-        assert stats["batches"] == 1
-        assert stats["largest_batch"] == 2
-        assert stats["mean_rows_per_batch"] == 2.0
-
-    def test_reset_on_read(self, client):
-        client.post("/v1/alpha/classify", json={"sample": PROBE})
-        first = client.get("/statusz?reset=1").json()
-        assert first["batchers"]["alpha"]["classify"]["requests"] == 1
-        second = client.get("/statusz").json()
-        assert second["batchers"]["alpha"]["classify"]["requests"] == 0
+        metrics = client.get("/statusz").json()["metrics"]
+        requests = _sample(
+            metrics, "repro_requests_total", op="classify", outcome="ok"
+        )
+        occupancy = _sample(metrics, "repro_batch_occupancy_rows", op="classify")
+        assert requests["value"] == 1
+        assert occupancy["sum"] == 2  # rows
+        assert occupancy["count"] == 1  # batches
 
     def test_plain_read_does_not_reset(self, client):
         client.post("/v1/alpha/classify", json={"sample": PROBE})
         client.get("/statusz")
-        again = client.get("/statusz").json()
-        assert again["batchers"]["alpha"]["classify"]["requests"] == 1
+        metrics = client.get("/statusz").json()["metrics"]
+        occupancy = _sample(metrics, "repro_batch_occupancy_rows", op="classify")
+        assert occupancy["count"] == 1
 
     def test_metrics_snapshot_included(self, client):
         client.post("/v1/alpha/classify", json={"sample": PROBE})

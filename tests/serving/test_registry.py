@@ -195,10 +195,8 @@ class TestRegistry:
         assert len(registry) == 1
 
     def test_descriptor_schema(self, registry):
-        descriptor = registry.get("alpha").descriptor({"encode": {}})
-        payload = descriptor.to_dict()
+        payload = registry.get("alpha").descriptor().to_dict()
         assert payload["name"] == "alpha"
         assert payload["dim"] == 1024
         assert payload["n_features"] == 40
         assert payload["revoked"] is False
-        assert payload["batch_stats"] == {"encode": {}}
