@@ -3,7 +3,7 @@
 The package implements, from scratch and in pure Python/numpy:
 
 * a complete HDC classification stack (hypervector ops, item memories,
-  record/n-gram encoders, one-shot + retrained classifiers);
+  record encoders, one-shot + retrained classifiers);
 * the paper's model-IP reasoning attack (value- and feature-hypervector
   extraction via divide and conquer) plus model reconstruction;
 * the HDLock defense (keyed combination-and-permutation feature
@@ -16,13 +16,13 @@ The package implements, from scratch and in pure Python/numpy:
 Batch encoding API
 ------------------
 
-Every encoder (:class:`~repro.encoding.base.Encoder`) exposes the same
-five entry points — ``encode``, ``encode_nonbinary``, ``encode_packed``,
-``encode_batch(samples, binary=True)`` and ``encode_batch_packed`` — and
-supplies only its input checks and its accumulation; the shape check,
-Eq. 3 binarization (sign(0) ties take one fixed vector, so every
-entry point is a pure function per row) and word-packing live once in
-the base, and a single sample is a batch of one. The record family runs on
+Every encoder (:class:`~repro.encoding.record.RecordEncoder` and its
+locked subclasses) exposes the same five entry points — ``encode``,
+``encode_nonbinary``, ``encode_packed``, ``encode_batch(samples,
+binary=True)`` and ``encode_batch_packed``. The input checks, Eq. 3
+binarization (sign(0) ties take one fixed vector, so every entry point
+is a pure function per row) and word-packing live once in
+``RecordEncoder``, and a single sample is a batch of one. Accumulation runs on
 the vectorized engine of :mod:`repro.encoding.engine`: a level-major
 BLAS decomposition compiled once per encoder
 (:class:`~repro.encoding.engine.EncodingPlan`) that is bit-exact with
@@ -159,7 +159,6 @@ from repro.data import Dataset, SyntheticSpec, load_benchmark, make_dataset
 from repro.encoding import (
     EncodingOracle,
     LockedEncoder,
-    NGramEncoder,
     RecordEncoder,
 )
 from repro.errors import ReproError
@@ -202,7 +201,6 @@ __all__ = [
     # encoders and models
     "RecordEncoder",
     "LockedEncoder",
-    "NGramEncoder",
     "EncodingOracle",
     "HDClassifier",
     "train_model",

@@ -173,13 +173,7 @@ class AdaptiveExtractor(_FeatureSweep):
         self, surface: LockedSurface, feature: int, rng: np.random.Generator
     ) -> tuple[FeatureGuess, int]:
         scores = score_rotations(surface, observe_difference(surface, feature))
-        # The guess is the best among the indices up to the first one
-        # whose best rotation clears the threshold. (The global argmin
-        # would recover 4 of 4 sparsified-l1 features instead of 1, a
-        # change to the arena's published result.)
-        cleared = np.flatnonzero(scores.min(axis=1) <= ACCEPT_THRESHOLD)
-        visited = int(cleared[0]) + 1 if cleared.size else surface.pool_size
-        subkey, score = best_single_layer_guess(scores[:visited])
+        subkey, score = best_single_layer_guess(scores)
         committed = subkey if score <= ACCEPT_THRESHOLD else None
         return FeatureGuess(feature, committed, score), scores.size
 

@@ -13,7 +13,6 @@ from repro.attack.complexity import (
     guesses_vs_layers,
     hdlock_guesses_per_feature,
     hdlock_total_guesses,
-    plain_guesses_per_feature,
     plain_total_guesses,
     reasoning_seconds_estimate,
     security_improvement,
@@ -23,7 +22,6 @@ from repro.attack.countermeasures import (
     OracleLockoutError,
     QueryAssessment,
     QueryMonitor,
-    attack_query_stream,
 )
 from repro.attack.feature_extraction import (
     CandidateTable,
@@ -78,7 +76,6 @@ __all__ = [
     "QueryAssessment",
     "GuardedOracle",
     "OracleLockoutError",
-    "attack_query_stream",
     "AttackSurface",
     "GroundTruth",
     "LockedSurface",
@@ -112,7 +109,6 @@ __all__ = [
     "exhaustive_mapping_attack",
     "score_matrix",
     "MAX_BRUTEFORCE_FEATURES",
-    "plain_guesses_per_feature",
     "plain_total_guesses",
     "hdlock_guesses_per_feature",
     "hdlock_total_guesses",

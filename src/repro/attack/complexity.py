@@ -26,13 +26,6 @@ def _check_positive(**values: int) -> None:
             raise ConfigurationError(f"{name} must be >= 1, got {value}")
 
 
-def plain_guesses_per_feature(n_features: int) -> int:
-    """Guesses to reason one feature of an unprotected model: the pool
-    size ``N`` (every remaining candidate is tried once)."""
-    _check_positive(n_features=n_features)
-    return n_features
-
-
 def plain_total_guesses(n_features: int) -> int:
     """Total divide-and-conquer cost on an unprotected model: ``N^2``."""
     _check_positive(n_features=n_features)

@@ -195,18 +195,3 @@ class GuardedOracle(EncodingOracle):
         """Packed variant of :meth:`query_batch`, same gating policy."""
         return super().query_batch_packed(self._gate_batch(samples))
 
-
-def attack_query_stream(
-    n_features: int, levels: int, features: int | None = None
-) -> np.ndarray:
-    """The exact query sequence the Sec. 3 attack sends.
-
-    One all-minimum probe followed by one one-hot-maximum probe per
-    attacked feature — used by tests and demos to exercise the monitor
-    with ground-truth attack traffic.
-    """
-    count = n_features if features is None else features
-    queries = np.zeros((1 + count, n_features), dtype=np.int64)
-    for i in range(count):
-        queries[1 + i, i] = levels - 1
-    return queries

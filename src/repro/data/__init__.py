@@ -1,4 +1,4 @@
-"""Datasets: synthetic benchmark generators, quantization, splits."""
+"""Datasets: synthetic benchmark generators and quantization."""
 
 from repro.data.benchmarks import (
     BENCHMARK_ORDER,
@@ -8,8 +8,7 @@ from repro.data.benchmarks import (
     benchmark_spec,
     load_benchmark,
 )
-from repro.data.quantize import dequantize, level_bounds, quantize_minmax
-from repro.data.splits import stratified_indices, train_test_split
+from repro.data.quantize import quantize_minmax
 from repro.data.synthetic import Dataset, SyntheticSpec, make_dataset
 
 __all__ = [
@@ -23,8 +22,4 @@ __all__ = [
     "benchmark_spec",
     "load_benchmark",
     "quantize_minmax",
-    "dequantize",
-    "level_bounds",
-    "train_test_split",
-    "stratified_indices",
 ]

@@ -34,21 +34,3 @@ def quantize_minmax(
         return np.zeros(arr.shape, dtype=np.int64)
     scaled = (arr - lo) / (hi - lo) * levels
     return np.clip(scaled.astype(np.int64), 0, levels - 1)
-
-
-def dequantize(
-    levels_arr: np.ndarray, levels: int, vmin: float, vmax: float
-) -> np.ndarray:
-    """Map level indices back to bin-center values (lossy inverse)."""
-    if levels < 2:
-        raise ConfigurationError(f"need at least 2 levels, got {levels}")
-    arr = np.asarray(levels_arr, dtype=np.float64)
-    width = (vmax - vmin) / levels
-    return vmin + (arr + 0.5) * width
-
-
-def level_bounds(levels: int, vmin: float, vmax: float) -> np.ndarray:
-    """The ``levels + 1`` bin edges used by :func:`quantize_minmax`."""
-    if levels < 2:
-        raise ConfigurationError(f"need at least 2 levels, got {levels}")
-    return np.linspace(vmin, vmax, levels + 1)

@@ -1,14 +1,14 @@
-"""Encoding modules: plain record, HDLock-locked, n-gram, and the oracle.
+"""Encoding modules: plain record, HDLock-locked, and the oracle.
 
-Every encoder subclasses :class:`~repro.encoding.base.Encoder`, which
-owns the shape check, Eq. 3 binarization with its fixed sign(0) tie
-vector, and packing; encoders supply only their input checks and accumulation.
-The record family runs on the vectorized batch engine of
+Every encoder is a :class:`~repro.encoding.record.RecordEncoder`, which
+owns the input checks, Eq. 3 binarization with its fixed sign(0) tie
+vector, and packing; the locked and transmission variants change only
+where the feature matrix comes from or how accumulations are
+transformed. Accumulation runs on the vectorized batch engine of
 :mod:`repro.encoding.engine`; see
 :class:`~repro.encoding.engine.EncodingPlan` for the chunking model.
 """
 
-from repro.encoding.base import Encoder
 from repro.encoding.engine import (
     DEFAULT_MEMORY_BUDGET,
     EncodingPlan,
@@ -16,7 +16,6 @@ from repro.encoding.engine import (
     encode_batch_reference,
 )
 from repro.encoding.locked import LockedEncoder
-from repro.encoding.ngram import NGramEncoder
 from repro.encoding.oracle import EncodingOracle
 from repro.encoding.privacy import (
     QuantizedLockedEncoder,
@@ -26,10 +25,8 @@ from repro.encoding.privacy import (
 from repro.encoding.record import RecordEncoder
 
 __all__ = [
-    "Encoder",
     "RecordEncoder",
     "LockedEncoder",
-    "NGramEncoder",
     "TransmissionLockedEncoder",
     "QuantizedLockedEncoder",
     "SparsifiedLockedEncoder",

@@ -56,7 +56,7 @@ class EncodingOracle:
         """Encode a batch of crafted samples (counted per sample).
 
         Runs through the encoder's vectorized
-        :meth:`~repro.encoding.base.Encoder.encode_batch`. A deployed
+        :meth:`~repro.encoding.record.RecordEncoder.encode_batch`. A deployed
         device pipelines queries the same way, so batching changes the
         observable outputs in no way — only the attacker's wall-clock.
         """

@@ -31,9 +31,9 @@ import math
 
 import numpy as np
 
-from repro.encoding.base import Encoder
 from repro.encoding.locked import LockedEncoder
 from repro.errors import ConfigurationError
+from repro.hv.packing import pack_signs
 from repro.memory.item_memory import LevelMemory
 from repro.memory.key import LockKey
 
@@ -53,9 +53,9 @@ class TransmissionLockedEncoder(LockedEncoder):
     routes through it, and the attacker-facing oracle and the
     owner-side training loop observe the same privatized encodings.
 
-    The record family's fused packed kernel binarizes raw accumulations
-    in its chunk loop, so the packed paths here use the base encoder's
-    binarize-and-pack stage after the transform instead.
+    The engine's fused packed kernel binarizes raw accumulations in its
+    chunk loop, so the packed paths here binarize and pack the
+    transformed rows with :func:`~repro.hv.packing.pack_signs` instead.
     """
 
     def _transform_rows(self, accums: np.ndarray) -> np.ndarray:
@@ -65,7 +65,8 @@ class TransmissionLockedEncoder(LockedEncoder):
     def _accumulate(self, batch: np.ndarray) -> np.ndarray:
         return self._transform_rows(super()._accumulate(batch))
 
-    _accumulate_packed = Encoder._accumulate_packed
+    def _accumulate_packed(self, batch: np.ndarray) -> np.ndarray:
+        return pack_signs(self._accumulate(batch))
 
 
 class QuantizedLockedEncoder(TransmissionLockedEncoder):

@@ -3,24 +3,40 @@
 Feature hypervectors are read directly from an indexed
 :class:`~repro.memory.item_memory.FeatureMemory` — precisely the design
 whose index mapping the reasoning attack of Sec. 3 recovers. The
-multiply-accumulate of Eq. 2 is compiled once per encoder into an
+encoder maps a record of ``N`` value levels to a ``D``-dimensional
+hypervector in two stages, the shape of a hardware encoder pipeline::
+
+    H_nb = accumulate(sample)                   (non-binary, Eq. 2)
+    H_b  = sign(H_nb)                           (binary, Eq. 3)
+
+The multiply-accumulate of Eq. 2 is compiled once per encoder into an
 :class:`~repro.encoding.engine.EncodingPlan` — a level-major BLAS
 decomposition with chunked batches, the engine's one kernel for any
-level memory — bit-exact with the per-sample reference loop.
+level memory — bit-exact with the per-sample reference loop. Eq. 3
+breaks sign(0) ties with the fixed vector :func:`repro.hv.ops.tie_bits`,
+so an encoder keeps no tie state and every entry point is a pure
+function per row: a sample encodes to the same bits alone, inside any
+batch, in any chunking, and on any replica. ``encode_batch_packed`` is
+the binary hot path, returning uint64 bit-planes so downstream Hamming
+consumers (classifier inference, attack scoring) never unpack; it is
+fused into the engine's chunk loop
+(:meth:`~repro.encoding.engine.EncodingPlan.accumulate_packed`).
+
+Samples are validated to be in range; quantization of raw real-valued
+data to levels is :mod:`repro.data.quantize`'s job.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.encoding.base import Encoder
-from repro.encoding.engine import EncodingPlan
+from repro.encoding.engine import EncodingPlan, binarize_batch
 from repro.errors import ConfigurationError, DimensionMismatchError
 from repro.memory.item_memory import FeatureMemory, LevelMemory
 from repro.utils.rng import SeedLike, spawn_rngs
 
 
-class RecordEncoder(Encoder):
+class RecordEncoder:
     """Record-based encoding with explicit feature and level memories.
 
     ``encode`` computes Eq. 2 (and Eq. 3 when ``binary=True``) using
@@ -96,7 +112,14 @@ class RecordEncoder(Encoder):
         """Drop the compiled plan (after in-place matrix mutation)."""
         self._plan = None
 
-    def _validate(self, batch: np.ndarray) -> None:
+    def _checked(self, samples: np.ndarray, ndim: int) -> np.ndarray:
+        """``samples`` as a validated ``(B, N)`` batch (one row if 1-D)."""
+        arr = np.asarray(samples)
+        if arr.ndim != ndim:
+            raise DimensionMismatchError(
+                f"expected a {ndim}-D input, got shape {arr.shape}"
+            )
+        batch = arr[None, :] if ndim == 1 else arr
         if batch.shape[1] != self.n_features:
             raise DimensionMismatchError(
                 f"sample has {batch.shape[1]} features, encoder expects "
@@ -112,9 +135,49 @@ class RecordEncoder(Encoder):
                 f"level indices must lie in [0, {self.levels}), got range "
                 f"[{batch.min()}, {batch.max()}]"
             )
+        return batch
 
     def _accumulate(self, batch: np.ndarray) -> np.ndarray:
+        """``(B, D)`` integer accumulations (Eq. 2) of a validated batch."""
         return self.plan.accumulate(batch)
 
     def _accumulate_packed(self, batch: np.ndarray) -> np.ndarray:
+        """Binarized, word-packed accumulations of a validated batch."""
         return self.plan.accumulate_packed(batch)
+
+    def _encode(self, batch: np.ndarray, binary: bool) -> np.ndarray:
+        accums = self._accumulate(batch)
+        if not binary:
+            return accums
+        return binarize_batch(accums)
+
+    def encode(self, sample: np.ndarray, binary: bool = True) -> np.ndarray:
+        """Encode one sample; binarize (Eq. 3) if ``binary``."""
+        return self._encode(self._checked(sample, 1), binary)[0]
+
+    def encode_nonbinary(self, sample: np.ndarray) -> np.ndarray:
+        """Encode one sample to its integer accumulation ``H_nb``."""
+        return self._encode(self._checked(sample, 1), False)[0]
+
+    def encode_batch(self, samples: np.ndarray, binary: bool = True) -> np.ndarray:
+        """Encode a ``(B, N)`` batch into a ``(B, D)`` matrix.
+
+        Row ``b`` is bit-identical to ``encode(samples[b], binary)``.
+        """
+        return self._encode(self._checked(samples, 2), binary)
+
+    def encode_batch_packed(self, samples: np.ndarray) -> np.ndarray:
+        """Encode a ``(B, N)`` batch straight into packed bit-planes.
+
+        Returns ``(B, ceil(D/64))`` uint64 rows, bit-identical to
+        ``pack_words(self.encode_batch(samples, binary=True))`` without
+        the dense sign matrix. Feed the result to
+        :func:`repro.hv.packing.hamming_packed` /
+        :func:`~repro.hv.packing.pairwise_hamming_packed` (or any
+        word-packed consumer) directly.
+        """
+        return self._accumulate_packed(self._checked(samples, 2))
+
+    def encode_packed(self, sample: np.ndarray) -> np.ndarray:
+        """Encode one sample to a ``(ceil(D/64),)`` uint64 packed HV."""
+        return self._accumulate_packed(self._checked(sample, 1))[0]

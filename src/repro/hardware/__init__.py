@@ -19,7 +19,6 @@ from repro.hardware.encoder_cost import (
 )
 from repro.hardware.inference_cost import (
     inference_cycles,
-    relative_inference_time,
     similarity_cycles,
     throughput_samples_per_second,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "relative_time_series",
     "similarity_cycles",
     "inference_cycles",
-    "relative_inference_time",
     "throughput_samples_per_second",
     "ResourceReport",
     "estimate_resources",

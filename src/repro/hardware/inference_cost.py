@@ -3,10 +3,9 @@
 Fig. 9 isolates the *encoding* overhead because that is the only stage
 HDLock changes. This module extends the cycle model with the remaining
 inference stage — similarity search against the ``C`` class
-hypervectors — so the defender can see HDLock's overhead in end-to-end
-terms: the associative stage is ``C / N`` of the encoding work, so the
-relative inference overhead is strictly smaller than the relative
-encoding overhead (and dilutes further for few-feature models).
+hypervectors — so the model covers a whole classification: the
+associative stage is ``C / N`` of the encoding work and does not depend
+on HDLock's key depth.
 """
 
 from __future__ import annotations
@@ -48,24 +47,6 @@ def inference_cycles(
     return encoding_cycles(n_features, dim, layers, config) + similarity_cycles(
         n_classes, dim, config
     )
-
-
-def relative_inference_time(
-    layers: int,
-    n_features: int,
-    dim: int,
-    n_classes: int,
-    config: DatapathConfig | None = None,
-) -> float:
-    """End-to-end analog of Fig. 9's relative *encoding* time.
-
-    Always at most the relative encoding time: the similarity stage is
-    HDLock-independent, so it dilutes the overhead by a factor
-    ``encode / (encode + search)``.
-    """
-    locked = inference_cycles(n_features, dim, n_classes, layers, config)
-    baseline = inference_cycles(n_features, dim, n_classes, 0, config)
-    return locked / baseline
 
 
 def throughput_samples_per_second(

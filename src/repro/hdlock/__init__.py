@@ -9,7 +9,6 @@ helpers that keep public bundles and key material apart.
 
 from repro.hdlock.analysis import (
     TradeoffRow,
-    recommend_layers,
     render_tradeoff_table,
     security_level_bits,
     tradeoff_table,
@@ -27,7 +26,6 @@ from repro.hdlock.lock import (
 from repro.hdlock.provisioning import (
     BundleManifest,
     load_fleet_key,
-    load_key,
     load_public_bundle,
     open_fleet_store,
     restore_device_encoder,
@@ -49,7 +47,6 @@ __all__ = [
     "lock_model",
     "rotate_system",
     "security_level_bits",
-    "recommend_layers",
     "TradeoffRow",
     "tradeoff_table",
     "render_tradeoff_table",
@@ -59,7 +56,6 @@ __all__ = [
     "save_key",
     "save_fleet_keys",
     "load_public_bundle",
-    "load_key",
     "load_fleet_key",
     "open_fleet_store",
     "restore_encoder",

@@ -18,7 +18,6 @@ from repro.attack.complexity import (
     hdlock_total_guesses,
     security_improvement,
 )
-from repro.errors import ConfigurationError
 from repro.hardware.datapath import DatapathConfig
 from repro.hardware.encoder_cost import relative_encoding_time
 from repro.utils.tables import format_quantity, render_table
@@ -32,30 +31,6 @@ def security_level_bits(
     The paper's MNIST two-layer configuration lands at ~55 bits.
     """
     return math.log2(hdlock_total_guesses(n_features, dim, pool_size, layers))
-
-
-def recommend_layers(
-    target_guesses: float,
-    n_features: int,
-    dim: int,
-    pool_size: int,
-    max_layers: int = 16,
-) -> int:
-    """Smallest ``L`` whose total guess count reaches ``target_guesses``.
-
-    Raises when even ``max_layers`` falls short (degenerate pool/dim).
-    """
-    if target_guesses <= 0:
-        raise ConfigurationError(
-            f"target_guesses must be > 0, got {target_guesses}"
-        )
-    for layers in range(1, max_layers + 1):
-        if hdlock_total_guesses(n_features, dim, pool_size, layers) >= target_guesses:
-            return layers
-    raise ConfigurationError(
-        f"no key depth up to {max_layers} reaches {target_guesses:.2e} guesses "
-        f"with D={dim}, P={pool_size}"
-    )
 
 
 @dataclass(frozen=True)

@@ -218,19 +218,6 @@ def load_public_bundle(
     return pool, LevelMemory(values), manifest
 
 
-def load_key(path: str | Path) -> LockKey:
-    """Read a key file written by :func:`save_key`.
-
-    Raises :class:`KeyFormatError` when the file is missing, unreadable
-    or malformed (the :meth:`LockKey.from_json` contract).
-    """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise KeyFormatError(f"key file unreadable at {path}: {exc}") from exc
-    return LockKey.from_json(text)
-
-
 def save_fleet_keys(directory: str | Path, batch: KeyBatch) -> KeyStore:
     """Persist a fleet key batch into the bundle's packed key store.
 

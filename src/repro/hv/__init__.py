@@ -7,11 +7,9 @@ them to derive locked feature hypervectors.
 """
 
 from repro.hv.capacity import (
-    CapacityPoint,
     FleetKeyReport,
     capacity,
     detection_margin,
-    empirical_capacity_curve,
     expected_member_distance,
     fleet_collision_log2_probability,
     fleet_key_report,
@@ -19,19 +17,16 @@ from repro.hv.capacity import (
     majority_advantage,
     subkey_space_log2,
 )
-from repro.hv.level import expected_level_distance, level_hvs, level_profile
+from repro.hv.level import level_hvs, level_profile
 from repro.hv.ops import (
     ACCUM_DTYPE,
     BIPOLAR_DTYPE,
     DEFAULT_DIM,
-    as_bipolar,
     bind,
     bind_many,
     bundle,
     check_same_dim,
-    invert,
     permute,
-    permute_inverse,
     permute_rows,
     sign,
     sign_bits,
@@ -50,7 +45,6 @@ from repro.hv.packing import (
 from repro.hv.properties import (
     LevelLinearityReport,
     OrthogonalityReport,
-    expected_random_deviation,
     level_linearity_report,
     orthogonality_report,
 )
@@ -68,14 +62,11 @@ __all__ = [
     "ACCUM_DTYPE",
     "BIPOLAR_DTYPE",
     "DEFAULT_DIM",
-    "as_bipolar",
     "bind",
     "bind_many",
     "bundle",
     "check_same_dim",
-    "invert",
     "permute",
-    "permute_inverse",
     "permute_rows",
     "sign",
     "sign_bits",
@@ -86,7 +77,6 @@ __all__ = [
     "shuffled_copy",
     "level_hvs",
     "level_profile",
-    "expected_level_distance",
     "cosine",
     "cosine_matrix",
     "dot",
@@ -104,11 +94,8 @@ __all__ = [
     "LevelLinearityReport",
     "orthogonality_report",
     "level_linearity_report",
-    "expected_random_deviation",
     "capacity",
-    "CapacityPoint",
     "detection_margin",
-    "empirical_capacity_curve",
     "expected_member_distance",
     "majority_advantage",
     "FleetKeyReport",

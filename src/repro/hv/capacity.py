@@ -23,10 +23,6 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.hv.ops import bundle, sign
-from repro.hv.random import random_pool
-from repro.hv.similarity import hamming
-from repro.utils.rng import SeedLike, resolve_rng
 
 
 def majority_advantage(k: int) -> float:
@@ -248,38 +244,3 @@ def fleet_key_report(
         ),
     )
 
-
-@dataclass(frozen=True)
-class CapacityPoint:
-    """One empirical measurement of member/non-member separability."""
-
-    bundle_size: int
-    member_distance: float
-    non_member_distance: float
-    predicted_member_distance: float
-
-
-def empirical_capacity_curve(
-    bundle_sizes: list[int],
-    dim: int = 4096,
-    rng: SeedLike = None,
-) -> list[CapacityPoint]:
-    """Measure member recognizability against the analytic prediction.
-
-    For each ``k``: bundle ``k`` random HVs, binarize, and compare the
-    distance of a member and of a fresh non-member to the bundle.
-    """
-    gen = resolve_rng(rng)
-    points = []
-    for k in bundle_sizes:
-        pool = random_pool(k + 1, dim, gen)
-        bundled = sign(bundle(pool[:k]))
-        points.append(
-            CapacityPoint(
-                bundle_size=k,
-                member_distance=float(hamming(bundled, pool[0])),
-                non_member_distance=float(hamming(bundled, pool[k])),
-                predicted_member_distance=expected_member_distance(k),
-            )
-        )
-    return points

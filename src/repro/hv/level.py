@@ -64,17 +64,6 @@ def level_hvs(levels: int, dim: int = DEFAULT_DIM, rng: SeedLike = None) -> np.n
     return out
 
 
-def expected_level_distance(v1: int, v2: int, levels: int) -> float:
-    """The Eq. 1b prediction for ``Hamm(ValHV_v1, ValHV_v2)``.
-
-    ``0.5 * |v1 - v2| / (levels - 1)`` — used by tests and by the
-    attacker's consistency checks.
-    """
-    if levels < 2:
-        raise ConfigurationError(f"need at least 2 value levels, got {levels}")
-    return 0.5 * abs(v1 - v2) / (levels - 1)
-
-
 def level_profile(level_matrix: np.ndarray) -> np.ndarray:
     """Normalized Hamming distance of every level to level 0.
 

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.errors import DimensionMismatchError, NotBipolarError
+from repro.errors import DimensionMismatchError
 
 #: Hypervector dimensionality used throughout the paper's experiments.
 DEFAULT_DIM = 10_000
@@ -43,17 +43,6 @@ ACCUM_DTYPE = np.int64
 
 #: Seed of the sign(0) tie vector of every dimension (:func:`tie_bits`).
 TIE_SEED = 0x71E5
-
-
-def as_bipolar(hv: np.ndarray) -> np.ndarray:
-    """Validate that ``hv`` is bipolar and return it as ``int8``.
-
-    Raises :class:`NotBipolarError` when any entry is outside ``{-1, +1}``.
-    """
-    arr = np.asarray(hv)
-    if not np.isin(arr, (-1, 1)).all():
-        raise NotBipolarError("hypervector entries must all be -1 or +1")
-    return arr.astype(BIPOLAR_DTYPE, copy=False)
 
 
 def check_same_dim(*hvs: np.ndarray) -> int:
@@ -116,11 +105,6 @@ def permute(hv: np.ndarray, k: int) -> np.ndarray:
     arr = np.asarray(hv)
     d = arr.shape[-1]
     return np.roll(arr, -(k % d), axis=-1)
-
-
-def permute_inverse(hv: np.ndarray, k: int) -> np.ndarray:
-    """Undo :func:`permute` with the same ``k`` (rotate right by ``k``)."""
-    return permute(hv, -k)
 
 
 def rotation_windows(hvs: np.ndarray) -> np.ndarray:
@@ -203,12 +187,6 @@ def sign(accum: np.ndarray) -> np.ndarray:
     signs *= 2
     signs -= 1
     return signs
-
-
-def invert(hv: np.ndarray) -> np.ndarray:
-    """Element-wise negation. For bipolar HVs this is the bind-inverse of
-    ``-1 * hv`` and flips all Hamming relations around 0.5."""
-    return np.negative(hv)
 
 
 def stack(hvs: Iterable[np.ndarray]) -> np.ndarray:

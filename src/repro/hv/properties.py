@@ -78,9 +78,3 @@ def level_linearity_report(level_matrix: np.ndarray) -> LevelLinearityReport:
         extreme_distance=float(profile[-1]),
         max_profile_error=float(np.abs(profile - ideal).max()),
     )
-
-
-def expected_random_deviation(dim: int) -> float:
-    """One standard deviation of the Hamming distance between two random
-    bipolar HVs of dimension ``dim`` (binomial: ``1 / (2 sqrt(D))``)."""
-    return 0.5 / float(np.sqrt(dim))

@@ -1,14 +1,10 @@
-"""HDC classification model: training, retraining, inference, metrics."""
+"""HDC classification model: training, retraining and inference."""
 
 from repro.model.classifier import HDClassifier
-from repro.model.metrics import accuracy, confusion_matrix, per_class_recall
 from repro.model.train import TrainingResult, train_model
 
 __all__ = [
     "HDClassifier",
     "train_model",
     "TrainingResult",
-    "accuracy",
-    "confusion_matrix",
-    "per_class_recall",
 ]

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.encoding.base import Encoder
+from repro.encoding.record import RecordEncoder
 from repro.errors import ConfigurationError, DimensionMismatchError
 from repro.hv.ops import sign
 from repro.hv.packing import pack_words, pairwise_hamming_packed
@@ -25,7 +25,7 @@ from repro.hv.similarity import cosine, cosine_matrix, hamming
 
 
 class HDClassifier:
-    """HDC classifier over any :class:`~repro.encoding.base.Encoder`.
+    """HDC classifier over a :class:`~repro.encoding.record.RecordEncoder`.
 
     ``binary`` selects the paper's binary model (binary encodings, binary
     class HVs, Hamming similarity); otherwise the non-binary model
@@ -34,7 +34,7 @@ class HDClassifier:
 
     def __init__(
         self,
-        encoder: Encoder,
+        encoder: RecordEncoder,
         n_classes: int,
         binary: bool = True,
     ) -> None:

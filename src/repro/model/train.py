@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.encoding.base import Encoder
+from repro.encoding.record import RecordEncoder
 from repro.model.classifier import HDClassifier
 from repro.utils.rng import SeedLike
 
@@ -27,7 +27,7 @@ class TrainingResult:
 
 
 def train_model(
-    encoder: Encoder,
+    encoder: RecordEncoder,
     train_x: np.ndarray,
     train_y: np.ndarray,
     n_classes: int,

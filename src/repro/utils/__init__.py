@@ -2,7 +2,7 @@
 
 from repro.utils.rng import DEFAULT_SEED, derive_seed, resolve_rng, spawn_rngs
 from repro.utils.tables import format_quantity, format_seconds, render_table
-from repro.utils.timer import Timer, time_call
+from repro.utils.timer import Timer
 
 __all__ = [
     "DEFAULT_SEED",
@@ -10,7 +10,6 @@ __all__ = [
     "resolve_rng",
     "spawn_rngs",
     "Timer",
-    "time_call",
     "render_table",
     "format_quantity",
     "format_seconds",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Tuple
 
 
 class Timer:
@@ -26,10 +25,3 @@ class Timer:
 
     def __exit__(self, *exc_info: object) -> None:
         self.elapsed = time.perf_counter() - self.start
-
-
-def time_call(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Tuple[Any, float]:
-    """Call ``fn(*args, **kwargs)`` and return ``(result, elapsed_seconds)``."""
-    with Timer() as t:
-        result = fn(*args, **kwargs)
-    return result, t.elapsed

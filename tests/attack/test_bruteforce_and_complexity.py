@@ -15,7 +15,6 @@ from repro.attack.complexity import (
     guesses_vs_layers,
     hdlock_guesses_per_feature,
     hdlock_total_guesses,
-    plain_guesses_per_feature,
     plain_total_guesses,
     reasoning_seconds_estimate,
     security_improvement,
@@ -79,7 +78,6 @@ class _FakeWideOracle:
 
 class TestComplexityFormulas:
     def test_plain(self):
-        assert plain_guesses_per_feature(784) == 784
         assert plain_total_guesses(784) == 614_656
 
     def test_hdlock_per_feature(self):

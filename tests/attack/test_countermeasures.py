@@ -3,14 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.attack.countermeasures import (
-    QueryMonitor,
-    attack_query_stream,
-)
+from repro.attack.countermeasures import QueryMonitor
 from repro.data.synthetic import SyntheticSpec, make_dataset
 from repro.errors import ConfigurationError
 
 N, M = 48, 8
+
+
+def attack_query_stream(features: int = N) -> np.ndarray:
+    """The query sequence the Sec. 3 attack sends: one all-minimum probe,
+    then one one-hot-maximum probe per attacked feature."""
+    queries = np.zeros((1 + features, N), dtype=np.int64)
+    for i in range(features):
+        queries[1 + i, i] = M - 1
+    return queries
 
 
 @pytest.fixture
@@ -40,7 +46,7 @@ class TestConcentration:
 
 class TestDetection:
     def test_attack_stream_triggers_alert(self, monitor):
-        stream = attack_query_stream(N, M)
+        stream = attack_query_stream()
         assessments = monitor.observe_batch(stream)
         assert monitor.alerted
         # the alert fires within the first window, long before the
@@ -77,7 +83,7 @@ class TestDetection:
             noise_sigma=0.3,
         )
         benign = make_dataset(spec, rng=1).train_x
-        attack = attack_query_stream(N, M)
+        attack = attack_query_stream()
         # interleave 1 attack probe per 3 benign queries
         for i in range(len(attack)):
             monitor.observe(attack[i])
@@ -89,7 +95,7 @@ class TestDetection:
 
     def test_budget_respected_below_threshold(self):
         monitor = QueryMonitor(n_features=N, levels=M, window=16, budget=15)
-        stream = attack_query_stream(N, M, features=10)
+        stream = attack_query_stream(features=10)
         monitor.observe_batch(stream)
         assert not monitor.alerted  # 11 suspicious < budget 15
 
@@ -113,16 +119,3 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             QueryMonitor(n_features=N, levels=M, window=0)
 
-
-class TestAttackQueryStream:
-    def test_shape_and_content(self):
-        stream = attack_query_stream(6, 4)
-        assert stream.shape == (7, 6)
-        np.testing.assert_array_equal(stream[0], np.zeros(6))
-        for i in range(6):
-            assert stream[1 + i, i] == 3
-            assert stream[1 + i].sum() == 3
-
-    def test_partial_feature_count(self):
-        stream = attack_query_stream(6, 4, features=2)
-        assert stream.shape == (3, 6)

@@ -1,4 +1,4 @@
-"""Tests for the benchmark registry and the split helpers."""
+"""Tests for the benchmark registry."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,7 @@ from repro.data.benchmarks import (
     benchmark_spec,
     load_benchmark,
 )
-from repro.data.splits import stratified_indices, train_test_split
-from repro.errors import ConfigurationError, DimensionMismatchError
+from repro.errors import ConfigurationError
 
 
 class TestRegistry:
@@ -63,49 +62,3 @@ class TestLoadBenchmark:
         b = load_benchmark("face", rng=1, sample_scale=0.05)
         np.testing.assert_array_equal(a.train_x, b.train_x)
 
-
-class TestTrainTestSplit:
-    def test_sizes(self):
-        x = np.arange(40).reshape(20, 2)
-        y = np.arange(20)
-        tx, ty, vx, vy = train_test_split(x, y, test_fraction=0.25, rng=0)
-        assert tx.shape == (15, 2) and vx.shape == (5, 2)
-        assert ty.shape == (15,) and vy.shape == (5,)
-
-    def test_partition_is_exact(self):
-        x = np.arange(30).reshape(30, 1)
-        y = np.arange(30)
-        tx, ty, vx, vy = train_test_split(x, y, rng=1)
-        assert sorted(np.concatenate([ty, vy])) == list(range(30))
-
-    def test_rows_stay_aligned(self):
-        x = np.arange(20).reshape(20, 1)
-        y = np.arange(20) * 10
-        tx, ty, _, _ = train_test_split(x, y, rng=2)
-        np.testing.assert_array_equal(tx[:, 0] * 10, ty)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            train_test_split(np.zeros((3, 1)), np.zeros(4))
-
-    def test_empty_split_rejected(self):
-        with pytest.raises(ConfigurationError):
-            train_test_split(np.zeros((3, 1)), np.zeros(3), test_fraction=0.0)
-
-
-class TestStratifiedIndices:
-    def test_per_class_counts(self):
-        labels = np.array([0] * 10 + [1] * 10 + [2] * 10)
-        idx = stratified_indices(labels, per_class=4, rng=0)
-        assert len(idx) == 12
-        assert np.bincount(labels[idx]).tolist() == [4, 4, 4]
-
-    def test_insufficient_class(self):
-        labels = np.array([0, 0, 1])
-        with pytest.raises(ConfigurationError):
-            stratified_indices(labels, per_class=2)
-
-    def test_indices_sorted_unique(self):
-        labels = np.repeat(np.arange(4), 8)
-        idx = stratified_indices(labels, per_class=3, rng=1)
-        assert (np.diff(idx) > 0).all()

@@ -8,13 +8,13 @@ and :func:`repro.hv.ops.sign`, so the test is a true differential
 harness); only the fixed tie vector :func:`repro.hv.ops.tie_bits` is
 shared, because it is part of the specification.
 
-Coverage per the HDXplore-style checklist: all four encoders, binary and
+Coverage per the HDXplore-style checklist: every encoder, binary and
 non-binary outputs, odd dimensions (D not divisible by 8 or the chunk
 size), B = 0 / B = 1 edge batches, chunk boundaries (chunk of 1, a chunk
 that does not divide B, a chunk larger than B, and tiny memory budgets),
 plus non-linear level memories on the same plan. Record
-splits are forced through the plan's ``chunk_size``; the n-gram and
-oracle paths are split by shrinking the engine's memory budget.
+splits are forced through the plan's ``chunk_size``; the oracle path is
+split by shrinking the engine's memory budget.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import pytest
 
 from repro.attack.countermeasures import GuardedOracle, QueryMonitor
 from repro.encoding.engine import binarize_batch
-from repro.encoding.ngram import NGramEncoder
 from repro.encoding.oracle import EncodingOracle
 from repro.encoding.privacy import QuantizedLockedEncoder
 from repro.encoding.record import RecordEncoder
@@ -63,16 +62,6 @@ class ReferenceEncoder:
             )
             out[b] = reference_sign(accum) if binary else accum
         return out
-
-
-class ReferenceNGram:
-    """Per-sequence loop over :meth:`NGramEncoder.encode`."""
-
-    def __init__(self, encoder: NGramEncoder) -> None:
-        self._encoder = encoder
-
-    def encode_batch(self, seqs: np.ndarray, binary: bool = True) -> np.ndarray:
-        return np.stack([self._encoder.encode(row, binary) for row in seqs])
 
 
 def _record(dim: int, n_features: int = 13):
@@ -193,39 +182,6 @@ class TestTieBreakDeterminism:
         np.testing.assert_array_equal(outs[0], outs[1])
 
 
-class TestNGramParity:
-    @pytest.mark.parametrize("binary", [True, False])
-    @pytest.mark.parametrize("batch", [1, 6])
-    def test_bit_exact(self, binary, batch, monkeypatch):
-        encoder = NGramEncoder(random_pool(7, ODD_DIM, rng=4), n=3)
-        reference = ReferenceNGram(encoder)
-        seqs = np.random.default_rng(5).integers(0, 7, size=(batch, 17))
-        # 4-row chunks: a ragged tail at B = 6, one oversize chunk at
-        # B = 1. Per row: two (15, D) int8 tiles plus the int64 sum row.
-        _budget_rows(monkeypatch, 4, 2 * 15 * ODD_DIM + 8 * ODD_DIM)
-        got = encoder.encode_batch(seqs, binary=binary)
-        np.testing.assert_array_equal(got, reference.encode_batch(seqs, binary))
-
-    def test_empty_batch(self):
-        encoder = NGramEncoder(random_pool(5, 64, rng=6), n=2)
-        out = encoder.encode_batch(np.zeros((0, 9), dtype=np.int64))
-        assert out.shape == (0, 64)
-        assert out.dtype == np.int8
-
-    def test_locked_ngram_parity(self):
-        pool = random_pool(6, 128, rng=8)
-        from repro.hdlock.keygen import generate_key
-
-        key = generate_key(n_features=5, pool_size=6, dim=128, layers=2, rng=9)
-
-        encoder = NGramEncoder(n=2, base_pool=pool, key=key)
-        reference = ReferenceNGram(encoder)
-        seqs = np.random.default_rng(11).integers(0, 5, size=(4, 12))
-        np.testing.assert_array_equal(
-            encoder.encode_batch(seqs, True), reference.encode_batch(seqs, True)
-        )
-
-
 class TestOracleParity:
     @pytest.mark.parametrize("binary", [True, False])
     def test_query_batch_matches_reference(self, binary, monkeypatch):
@@ -242,7 +198,6 @@ SCALAR_FACTORIES = {
     "record": lambda: _record(64),
     "locked": lambda: _locked(64),
     "quantized": lambda: QuantizedLockedEncoder.random(11, 5, 64, rng=3, layers=2),
-    "ngram": lambda: NGramEncoder(random_pool(5, 64, rng=6), n=2),
 }
 
 

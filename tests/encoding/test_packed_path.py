@@ -28,9 +28,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import repro.encoding.base as encoding_base
+import repro.encoding.record as record_mod
 import repro.model.classifier as classifier_mod
-from repro.encoding.ngram import NGramEncoder
 from repro.encoding.engine import (
     RESTORE_ROWS,
     EncodingPlan,
@@ -134,16 +133,6 @@ class TestPackedParity:
         np.testing.assert_array_equal(
             encoder.encode_packed(sample),
             pack_words(encoder.encode(sample, binary=True)),
-        )
-
-    def test_ngram_packed_parity(self, monkeypatch):
-        encoder = NGramEncoder(random_pool(7, ODD_DIM, rng=4), n=3)
-        seqs = np.random.default_rng(5).integers(0, 7, size=(6, 17))
-        # A one-byte budget degenerates to one sequence per chunk.
-        monkeypatch.setattr("repro.encoding.engine.DEFAULT_MEMORY_BUDGET", 1)
-        np.testing.assert_array_equal(
-            encoder.encode_batch_packed(seqs),
-            pack_words(encoder.encode_batch(seqs, binary=True)),
         )
 
 
@@ -320,7 +309,7 @@ class TestZeroRoundTrips:
 
         # No dense binarize, no unpack, and no re-pack of the cached
         # class memory during steady-state predict.
-        monkeypatch.setattr(encoding_base, "binarize_batch", boom("binarize_batch"))
+        monkeypatch.setattr(record_mod, "binarize_batch", boom("binarize_batch"))
         monkeypatch.setattr(classifier_mod, "pack_words", boom("pack_words"))
         monkeypatch.setattr("repro.hv.packing.unpack_words", boom("unpack_words"))
         predictions = model.predict(samples)
@@ -336,7 +325,7 @@ class TestZeroRoundTrips:
     def test_locked_encoder_inference_flows_packed(self, monkeypatch):
         model, samples = self._trained_model(lambda: _locked(ODD_DIM))
         model.predict(samples)
-        monkeypatch.setattr(encoding_base, "binarize_batch", boom_any)
+        monkeypatch.setattr(record_mod, "binarize_batch", boom_any)
         monkeypatch.setattr(classifier_mod, "pack_words", boom_any)
         assert model.predict(samples).shape == (40,)
 

@@ -13,9 +13,9 @@ and requires them to be identical:
 * a replica restored from a provisioning bundle plus its key;
 * ``encode(x)`` twice.
 
-Every encoder family is covered at an even ``N`` (or an even number of
-n-grams), where accumulations hit zero and ties occur; each case checks
-that they do, so a test cannot pass by never exercising the tie rule.
+Every encoder family is covered at an even ``N``, where accumulations
+hit zero and ties occur; each case checks that they do, so a test
+cannot pass by never exercising the tie rule.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 import pytest
 
 from repro.encoding.locked import LockedEncoder
-from repro.encoding.ngram import NGramEncoder
 from repro.encoding.privacy import QuantizedLockedEncoder, SparsifiedLockedEncoder
 from repro.encoding.record import RecordEncoder
 from repro.hdlock.keygen import generate_key
@@ -59,15 +58,11 @@ ENCODERS = {
     "locked": partial(_locked, "locked"),
     "quantized": partial(_locked, "quantized"),
     "sparsified": partial(_locked, "sparsified"),
-    # Sequences of 9 symbols hold 8 bigrams: an even bundle, so ties.
-    "ngram": lambda: NGramEncoder(random_pool(7, DIM, rng=44), n=2),
 }
 
 
-def _samples(name: str, encoder, seed: int = 5) -> np.ndarray:
+def _samples(encoder, seed: int = 5) -> np.ndarray:
     gen = np.random.default_rng(seed)
-    if name == "ngram":
-        return gen.integers(0, encoder.alphabet_size, size=(BATCH, 9))
     return gen.integers(0, encoder.levels, size=(BATCH, encoder.n_features))
 
 
@@ -75,7 +70,7 @@ def _samples(name: str, encoder, seed: int = 5) -> np.ndarray:
 def case(request):
     """(name, encoder, samples) with ties present in the samples' encodings."""
     encoder = ENCODERS[request.param]()
-    samples = _samples(request.param, encoder)
+    samples = _samples(encoder)
     assert (encoder.encode_batch(samples, binary=False) == 0).any()
     return request.param, encoder, samples
 
@@ -130,7 +125,7 @@ class TestPurity:
 @pytest.mark.parametrize("chunk_size", [1, 3, 7, 64])
 def test_record_chunk_size(chunk_size):
     encoder = ENCODERS["record"]()
-    samples = _samples("record", encoder)
+    samples = _samples(encoder)
     np.testing.assert_array_equal(
         encoder.plan.accumulate_packed(samples, chunk_size=chunk_size),
         encoder.encode_batch_packed(samples),
@@ -140,7 +135,7 @@ def test_record_chunk_size(chunk_size):
 @pytest.mark.parametrize("name", sorted(LOCKED_FAMILY))
 def test_restored_replica(name, tmp_path):
     encoder = ENCODERS[name]()
-    samples = _samples(name, encoder)
+    samples = _samples(encoder)
     save_public_bundle(tmp_path, encoder)
     restored = restore_encoder(tmp_path, encoder.key)
     replica = LOCKED_FAMILY[name](

@@ -4,10 +4,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hardware.datapath import DatapathConfig
-from repro.hardware.encoder_cost import encoding_cycles, relative_encoding_time
+from repro.hardware.encoder_cost import encoding_cycles
 from repro.hardware.inference_cost import (
     inference_cycles,
-    relative_inference_time,
     similarity_cycles,
     throughput_samples_per_second,
 )
@@ -40,23 +39,6 @@ class TestInferenceCycles:
         cycles = [inference_cycles(784, 10_000, 10, l) for l in range(5)]
         assert cycles[0] == cycles[1]
         assert all(b > a for a, b in zip(cycles[1:], cycles[2:], strict=False))
-
-
-class TestRelativeInferenceTime:
-    def test_diluted_below_encoding_overhead(self):
-        """The search stage is lock-independent, so end-to-end overhead
-        is strictly below the encoding-only overhead of Fig. 9."""
-        encode_only = relative_encoding_time(2, 784, 10_000)
-        end_to_end = relative_inference_time(2, 784, 10_000, 10)
-        assert 1.0 < end_to_end < encode_only
-
-    def test_small_models_dilute_more(self):
-        wide = relative_inference_time(2, 784, 10_000, 10)
-        narrow = relative_inference_time(2, 27, 10_000, 5)
-        assert narrow < wide
-
-    def test_l1_free_end_to_end(self):
-        assert relative_inference_time(1, 784, 10_000, 10) == pytest.approx(1.0)
 
 
 class TestThroughput:

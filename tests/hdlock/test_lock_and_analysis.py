@@ -6,7 +6,6 @@ import pytest
 from repro.encoding.record import RecordEncoder
 from repro.errors import ConfigurationError
 from repro.hdlock.analysis import (
-    recommend_layers,
     render_tradeoff_table,
     security_level_bits,
     tradeoff_table,
@@ -87,19 +86,6 @@ class TestAnalysis:
     def test_security_bits_mnist(self):
         bits = security_level_bits(784, 10_000, 784, 2)
         assert bits == pytest.approx(55.4, abs=0.2)
-
-    def test_recommend_layers(self):
-        # paper MNIST: one layer gives 6.15e9, two give 4.81e16
-        assert recommend_layers(1e12, 784, 10_000, 784) == 2
-        assert recommend_layers(1e9, 784, 10_000, 784) == 1
-
-    def test_recommend_layers_unreachable(self):
-        with pytest.raises(ConfigurationError):
-            recommend_layers(1e30, 1, 1, 1, max_layers=3)
-
-    def test_recommend_layers_invalid_target(self):
-        with pytest.raises(ConfigurationError):
-            recommend_layers(0, 784, 10_000, 784)
 
     def test_tradeoff_rows(self):
         rows = tradeoff_table(784, 10_000, 784, layer_range=range(1, 4))

@@ -18,7 +18,6 @@ from repro.hdlock.provisioning import (
     VALUES_FILE,
     BundleManifest,
     load_fleet_key,
-    load_key,
     load_public_bundle,
     open_fleet_store,
     restore_device_encoder,
@@ -28,6 +27,7 @@ from repro.hdlock.provisioning import (
     save_public_bundle,
 )
 from repro.hv.packing import PACKED_WORD_DTYPE, packed_word_width
+from repro.memory.key import LockKey
 
 N, M, D = 16, 5, 512
 
@@ -50,7 +50,7 @@ class TestSaveLoadRoundtrip:
     def test_key_roundtrip(self, system, tmp_path):
         path = save_key(tmp_path, system.key)
         assert path.name == KEY_FILE
-        assert load_key(path) == system.key
+        assert LockKey.from_json(path.read_text()) == system.key
 
     def test_restore_encoder_is_equivalent(self, system, tmp_path):
         # D = 100 leaves 28 pad bits in each row's last word.
@@ -153,10 +153,6 @@ class TestErrorContract:
         (tmp_path / POOL_FILE).write_bytes(payload[: len(payload) // 2])
         with pytest.raises(ConfigurationError):
             load_public_bundle(tmp_path)
-
-    def test_missing_key_file(self, tmp_path):
-        with pytest.raises(KeyFormatError, match="unreadable"):
-            load_key(tmp_path / "lock_key.json")
 
     def test_byte_row_bundle_refused(self, system, tmp_path, monkeypatch):
         """A bundle in the earlier uint8 byte-row layout, with digests

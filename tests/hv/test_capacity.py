@@ -8,7 +8,6 @@ from repro.errors import ConfigurationError
 from repro.hv.capacity import (
     capacity,
     detection_margin,
-    empirical_capacity_curve,
     expected_member_distance,
     fleet_collision_log2_probability,
     fleet_key_report,
@@ -16,6 +15,17 @@ from repro.hv.capacity import (
     majority_advantage,
     subkey_space_log2,
 )
+from repro.hv.ops import bundle, sign
+from repro.hv.random import random_pool
+from repro.hv.similarity import hamming
+
+
+def measured_distances(k: int, dim: int, rng: int) -> tuple[float, float]:
+    """Hamming distance of a member and of a fresh non-member to the
+    binarized bundle of ``k`` random HVs."""
+    pool = random_pool(k + 1, dim, rng)
+    bundled = sign(bundle(pool[:k]))
+    return float(hamming(bundled, pool[0])), float(hamming(bundled, pool[k]))
 
 
 class TestMajorityAdvantage:
@@ -79,24 +89,22 @@ class TestCapacity:
 
 class TestEmpiricalCurve:
     def test_matches_prediction(self):
-        points = empirical_capacity_curve([3, 9, 33, 101], dim=8192, rng=0)
-        for point in points:
-            assert point.member_distance == pytest.approx(
-                point.predicted_member_distance, abs=0.03
-            )
-            assert point.non_member_distance == pytest.approx(0.5, abs=0.05)
+        for k in (3, 9, 33, 101):
+            member, non_member = measured_distances(k, dim=8192, rng=k)
+            assert member == pytest.approx(expected_member_distance(k), abs=0.03)
+            assert non_member == pytest.approx(0.5, abs=0.05)
 
     def test_members_closer_than_non_members_within_capacity(self):
         dim = 4096
         k = capacity(dim) // 2
-        (point,) = empirical_capacity_curve([k], dim=dim, rng=1)
-        assert point.member_distance < point.non_member_distance - 0.01
+        member, non_member = measured_distances(k, dim=dim, rng=1)
+        assert member < non_member - 0.01
 
     def test_encoder_regime_has_signal(self):
         """N=784 bound pairs bundled at D>=2048: members detectable —
         this is why the attack's crafted queries carry signal."""
-        (point,) = empirical_capacity_curve([785], dim=2048, rng=2)
-        assert point.member_distance < 0.49
+        member, _ = measured_distances(785, dim=2048, rng=2)
+        assert member < 0.49
 
 
 class TestFleetKeyReport:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.hv.level import expected_level_distance, level_hvs, level_profile
+from repro.hv.level import level_hvs, level_profile
 from repro.hv.similarity import hamming
 
 DIM = 2048
@@ -35,7 +35,8 @@ class TestLevelHVs:
         levels = level_hvs(m, DIM, rng=3)
         for v1 in range(m):
             for v2 in range(m):
-                expected = expected_level_distance(v1, v2, m)
+                # Eq. 1b: 0.5 * |v1 - v2| / (M - 1)
+                expected = 0.5 * abs(v1 - v2) / (m - 1)
                 assert float(hamming(levels[v1], levels[v2])) == pytest.approx(
                     expected, abs=0.02
                 )
@@ -69,15 +70,3 @@ class TestLevelHVs:
         d = float(hamming(levels[0], levels[-1]))
         assert abs(d - 0.5) <= 1 / 64  # rounding of D/2 across batches
 
-
-class TestExpectedLevelDistance:
-    def test_endpoints(self):
-        assert expected_level_distance(0, 9, 10) == 0.5
-        assert expected_level_distance(3, 3, 10) == 0.0
-
-    def test_symmetry(self):
-        assert expected_level_distance(2, 7, 16) == expected_level_distance(7, 2, 16)
-
-    def test_invalid_levels(self):
-        with pytest.raises(ConfigurationError):
-            expected_level_distance(0, 1, 1)

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hv.level import level_hvs
-from repro.hv.properties import (
-    expected_random_deviation,
-    level_linearity_report,
-    orthogonality_report,
-)
+from repro.hv.properties import level_linearity_report, orthogonality_report
 from repro.hv.random import random_pool
 
 
@@ -17,7 +13,8 @@ class TestOrthogonalityReport:
         report = orthogonality_report(random_pool(30, 4096, rng=0))
         assert report.pairs == 30 * 29 // 2
         assert report.mean_distance == pytest.approx(0.5, abs=0.01)
-        assert report.is_quasi_orthogonal(6 * expected_random_deviation(4096))
+        # Six binomial standard deviations, 1 / (2 sqrt(D)) each.
+        assert report.is_quasi_orthogonal(6 * 0.5 / np.sqrt(4096))
 
     def test_correlated_pool_flagged(self):
         levels = level_hvs(8, 2048, rng=1)
@@ -51,8 +48,3 @@ class TestLevelLinearityReport:
         report = level_linearity_report(pool)
         assert not report.is_linear(0.05)
 
-
-class TestExpectedRandomDeviation:
-    def test_scaling(self):
-        assert expected_random_deviation(10_000) == pytest.approx(0.005)
-        assert expected_random_deviation(100) == pytest.approx(0.05)

@@ -16,7 +16,6 @@ EXAMPLES = [
     ("steal_unprotected_model.py", 300),
     ("lock_and_defend.py", 300),
     ("hardware_tradeoff.py", 120),
-    ("sequence_lock.py", 120),
 ]
 
 

@@ -18,10 +18,8 @@ import hashlib
 
 import numpy as np
 
-from repro.encoding.ngram import NGramEncoder
 from repro.encoding.record import RecordEncoder
 from repro.hdlock.lock import create_locked_encoder
-from repro.hv.random import random_pool
 from repro.model.classifier import HDClassifier
 
 GOLDEN = {
@@ -33,13 +31,10 @@ GOLDEN = {
     # changed. Encoding kernels are untouched — every other digest held.
     "locked-binary": "cbe5534f2fab2f2aa733877ff4577ded95a40277d9ba0b0228365545e71b771a",
     # Re-pinned when Eq. 3 moved from a per-encoder tie-break stream to
-    # the fixed tie vector (repro.hv.ops.tie_bits): these three outputs
-    # binarize exact zeros (an even number of n-grams, even N = 20
-    # encodings and class sums). The odd-N record and locked encodings
-    # never tie and the non-binary outputs never binarize, so their
-    # digests held.
-    "ngram-binary": "b5821a5d77d2cd1cb94ae94c25e7c5c1f128a21be951b57a9f617ac5e25b3366",
-    "ngram-nonbinary": "7f07a1a4096f584c5d1a9afa75021b1526ba2be502998feb58f89c92d3718493",
+    # the fixed tie vector (repro.hv.ops.tie_bits): the classifier
+    # outputs below binarize exact zeros (even N = 20 encodings and
+    # class sums). The odd-N record and locked encodings never tie and
+    # the non-binary outputs never binarize, so their digests held.
     "classifier-class-matrix": "8e0ccff6d5bf6f4ebf35cddf63f78545006953ab8c889cb9fd4f94adc80faf5b",
     "classifier-predictions": "358b891cbf696de9a453eb7bf30f3eeddc8b8348270ca7a909cb062d3d8525de",
     "classifier-nonbinary-accums": "5452808c656b757530b4ee704dee609bc8aaffe86e54295ab5ca9c9cf99e24df",
@@ -72,15 +67,6 @@ def test_locked_encoder_digest():
     samples = np.random.default_rng(41).integers(0, 6, (9, 15))
     assert (
         _digest(encoder.encode_batch(samples, binary=True)) == GOLDEN["locked-binary"]
-    )
-
-
-def test_ngram_encoder_digests():
-    encoder = NGramEncoder(random_pool(7, 384, rng=5), n=3)
-    seqs = np.random.default_rng(3).integers(0, 7, (8, 20))
-    assert _digest(encoder.encode_batch(seqs, binary=True)) == GOLDEN["ngram-binary"]
-    assert (
-        _digest(encoder.encode_batch(seqs, binary=False)) == GOLDEN["ngram-nonbinary"]
     )
 
 

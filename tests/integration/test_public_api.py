@@ -1,11 +1,67 @@
 """Contract tests for the top-level public API surface."""
 
+import importlib
 import subprocess
 import sys
 
 import pytest
 
 import repro
+
+#: Every subpackage that declares ``__all__``.
+SUBPACKAGES = (
+    "repro.analysis",
+    "repro.arena",
+    "repro.attack",
+    "repro.data",
+    "repro.encoding",
+    "repro.experiments",
+    "repro.hardware",
+    "repro.hdlock",
+    "repro.hv",
+    "repro.memory",
+    "repro.model",
+    "repro.obs",
+    "repro.serving",
+    "repro.utils",
+)
+
+#: Deleted public names: the n-gram encoder, the one-implementer encoder
+#: base, and helpers that no experiment, tenant or example called.
+REMOVED_NAMES = frozenset(
+    {
+        "Encoder",
+        "NGramEncoder",
+        "train_test_split",
+        "stratified_indices",
+        "accuracy",
+        "confusion_matrix",
+        "per_class_recall",
+        "CapacityPoint",
+        "empirical_capacity_curve",
+        "recommend_layers",
+        "relative_inference_time",
+        "attack_query_stream",
+        "load_key",
+        "dequantize",
+        "level_bounds",
+        "as_bipolar",
+        "invert",
+        "permute_inverse",
+        "expected_level_distance",
+        "expected_random_deviation",
+        "time_call",
+        "plain_guesses_per_feature",
+    }
+)
+
+#: Deleted modules.
+REMOVED_MODULES = (
+    "repro.encoding.base",
+    "repro.encoding.ngram",
+    "repro.data.splits",
+    "repro.model.metrics",
+)
 
 
 class TestTopLevelExports:
@@ -34,31 +90,19 @@ class TestTopLevelExports:
             assert name in repro.__all__
 
     def test_subpackage_alls_resolve(self):
-        import repro.arena
-        import repro.attack
-        import repro.data
-        import repro.encoding
-        import repro.hardware
-        import repro.hdlock
-        import repro.hv
-        import repro.memory
-        import repro.model
-        import repro.utils
-
-        for module in (
-            repro.arena,
-            repro.attack,
-            repro.data,
-            repro.encoding,
-            repro.hardware,
-            repro.hdlock,
-            repro.hv,
-            repro.memory,
-            repro.model,
-            repro.utils,
-        ):
+        for module in map(importlib.import_module, SUBPACKAGES):
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
+
+    def test_removed_names_stay_unexported(self):
+        for module in (repro, *map(importlib.import_module, SUBPACKAGES)):
+            leaked = REMOVED_NAMES & set(module.__all__)
+            assert not leaked, f"{module.__name__} exports {sorted(leaked)}"
+
+    @pytest.mark.parametrize("module", REMOVED_MODULES)
+    def test_removed_module_is_gone(self, module):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
 
     def test_errors_inherit_base(self):
         from repro import errors

@@ -1,11 +1,9 @@
-"""Tests for the training entry point and the metrics helpers."""
+"""Tests for the training entry point."""
 
 import numpy as np
 import pytest
 
 from repro.encoding.record import RecordEncoder
-from repro.errors import DimensionMismatchError
-from repro.model.metrics import accuracy, confusion_matrix, per_class_recall
 from repro.model.train import train_model
 
 
@@ -57,41 +55,3 @@ class TestTrainModel:
         )
         assert result.model.score(tiny_dataset.test_x, tiny_dataset.test_y) > 0.8
 
-
-class TestAccuracy:
-    def test_perfect(self):
-        assert accuracy(np.array([1, 2, 3]), np.array([1, 2, 3])) == 1.0
-
-    def test_partial(self):
-        assert accuracy(np.array([1, 2, 3, 4]), np.array([1, 2, 0, 0])) == 0.5
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            accuracy(np.array([1]), np.array([1, 2]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            accuracy(np.array([]), np.array([]))
-
-
-class TestConfusionMatrix:
-    def test_known_counts(self):
-        labels = np.array([0, 0, 1, 1, 2])
-        preds = np.array([0, 1, 1, 1, 0])
-        conf = confusion_matrix(preds, labels, 3)
-        assert conf[0, 0] == 1 and conf[0, 1] == 1
-        assert conf[1, 1] == 2
-        assert conf[2, 0] == 1
-        assert conf.sum() == 5
-
-    def test_recall(self):
-        conf = np.array([[3, 1], [0, 4]])
-        np.testing.assert_allclose(per_class_recall(conf), [0.75, 1.0])
-
-    def test_recall_empty_class(self):
-        conf = np.array([[2, 0], [0, 0]])
-        np.testing.assert_allclose(per_class_recall(conf), [1.0, 0.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            confusion_matrix(np.array([0]), np.array([0, 1]), 2)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.utils.rng import DEFAULT_SEED, derive_seed, resolve_rng, spawn_rngs
 from repro.utils.tables import format_quantity, format_seconds, render_table
-from repro.utils.timer import Timer, time_call
+from repro.utils.timer import Timer
 
 
 class TestResolveRng:
@@ -62,11 +62,6 @@ class TestTimer:
         with Timer() as t:
             time.sleep(0.01)
         assert t.elapsed >= 0.009
-
-    def test_time_call_returns_result(self):
-        result, elapsed = time_call(lambda x: x * 2, 21)
-        assert result == 42
-        assert elapsed >= 0.0
 
 
 class TestFormatQuantity:
