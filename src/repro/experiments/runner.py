@@ -532,11 +532,18 @@ def _run_pool(
 
     With ``min(jobs, units) == 1`` the units run one after another in
     this process (:class:`_InProcessExecutor`); two or more workers mean
-    a spawn-based process pool. Sharded experiments submit one unit per
-    shard so a single heavyweight experiment (Table 1 at full scale)
-    cannot serialize the suite on its own. Returns ``(outcomes,
-    errors)`` keyed by experiment name; ``errors`` holds each failed
-    experiment's first exception.
+    a spawn-based process pool. The pool spawns rather than forks
+    because ``python -m repro`` imports NumPy through ``repro/__init__``
+    before :func:`_pin_worker_blas_threads` runs, so forked workers
+    inherit the parent's multi-threaded OpenBLAS pool; on a 2-core host
+    the reduced suite at ``--jobs 2`` took 6.2–12.6 s forked against
+    1.6–2.2 s spawned (3 runs each, byte-identical artifacts), and fork
+    caught up (1.3–1.5 s) only with ``OPENBLAS_NUM_THREADS=1`` set
+    before launch. Sharded experiments submit one unit per shard so a
+    single heavyweight experiment (Table 1 at full scale) cannot
+    serialize the suite on its own. Returns ``(outcomes, errors)``
+    keyed by experiment name; ``errors`` holds each failed experiment's
+    first exception.
     """
     outcomes: dict[str, ExperimentOutcome] = {}
     errors: dict[str, Exception] = {}

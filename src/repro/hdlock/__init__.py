@@ -31,7 +31,6 @@ from repro.hdlock.provisioning import (
     restore_device_encoder,
     restore_encoder,
     save_fleet_keys,
-    save_key,
     save_public_bundle,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "BundleManifest",
     "KeyStore",
     "save_public_bundle",
-    "save_key",
     "save_fleet_keys",
     "load_public_bundle",
     "load_fleet_key",

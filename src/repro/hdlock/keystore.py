@@ -1,9 +1,9 @@
 """Fleet-scale packed key store: mmap random access over millions of keys.
 
-One JSON file per key (the escrow format of
-:mod:`repro.hdlock.provisioning`) tops out at thousands of devices — a
-million-device fleet needs a store that is compact at rest and O(1) to
-read. This module provides it:
+One JSON file per key (:meth:`~repro.memory.key.LockKey.to_json`)
+tops out at thousands of devices — a million-device fleet needs a
+store that is compact at rest and O(1) to read. This module provides
+it:
 
 * **fixed-stride packed records** — each device's key is its ``N * L``
   (index, rotation) pairs bit-packed at the information-theoretic width
@@ -24,8 +24,8 @@ read. This module provides it:
   state, not just key bytes.
 
 Key material is secret: the store directory's files are created
-``0o600`` (and the directory ``0o700``), matching the single-key escrow
-contract of :func:`repro.hdlock.provisioning.save_key`.
+``0o600`` (and the directory ``0o700``), so no key is ever
+world-readable, even while it transits an owner-side filesystem.
 """
 
 from __future__ import annotations

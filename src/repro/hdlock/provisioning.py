@@ -1,4 +1,4 @@
-"""Deployment provisioning: persist the public bundle and the key apart.
+"""Deployment provisioning: persist the public bundle and the keys apart.
 
 A real HDLock rollout writes two artifacts with different trust levels:
 
@@ -7,11 +7,10 @@ A real HDLock rollout writes two artifacts with different trust levels:
   uint64) plus a manifest with shapes and SHA-256 checksums. This goes
   to ordinary device flash; per the threat model the adversary can read
   all of it.
-* the **key material** — either a single ``LockKey`` JSON file
-  (:func:`save_key`, owner-only ``0o600`` permissions) or, for fleets,
-  a packed :class:`~repro.hdlock.keystore.KeyStore`
-  (:func:`save_fleet_keys`). Both are destined for the tamper-proof
-  store and never ship next to the bundle.
+* the **key material** — a packed, owner-only
+  :class:`~repro.hdlock.keystore.KeyStore` of device keys
+  (:func:`save_fleet_keys`), destined for the tamper-proof store and
+  never shipped next to the bundle.
 
 Loading verifies the checksums, so a tampered pool (a known class of
 attacks against stored models) is detected before the encoder is
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,9 +47,8 @@ from repro.memory.key import KeyBatch, LockKey
 POOL_FILE = "base_pool.npy"
 VALUES_FILE = "value_memory.npy"
 MANIFEST_FILE = "manifest.json"
-KEY_FILE = "lock_key.json"
 
-#: Subdirectory holding the fleet key store next to single-key escrow.
+#: Subdirectory holding the fleet key store.
 KEYSTORE_DIR = "keystore"
 
 
@@ -110,7 +107,8 @@ def save_public_bundle(
 ) -> BundleManifest:
     """Write the encoder's public memories (bit-packed) plus manifest.
 
-    The key is deliberately *not* written here; see :func:`save_key`.
+    The key is deliberately *not* written here; see
+    :func:`save_fleet_keys`.
     """
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
@@ -127,24 +125,6 @@ def save_public_bundle(
     )
     (path / MANIFEST_FILE).write_text(manifest.to_json())
     return manifest
-
-
-def save_key(directory: str | Path, key: LockKey) -> Path:
-    """Write the key JSON (destined for tamper-proof storage).
-
-    The file is created with owner-only ``0o600`` permissions — the key
-    is the secret the whole scheme rests on, so it must never be
-    world-readable even while it transits an owner-side filesystem.
-    """
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    key_path = path / KEY_FILE
-    fd = os.open(key_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-    with os.fdopen(fd, "w") as fh:
-        fh.write(key.to_json())
-    # A pre-existing file keeps its old mode through os.open; pin it.
-    os.chmod(key_path, 0o600)
-    return key_path
 
 
 def _load_packed(path: Path, what: str) -> np.ndarray:
@@ -222,9 +202,9 @@ def save_fleet_keys(directory: str | Path, batch: KeyBatch) -> KeyStore:
     """Persist a fleet key batch into the bundle's packed key store.
 
     Creates ``directory/keystore`` on first use (appends on subsequent
-    calls) and bulk-appends the batch. Like :func:`save_key`, the store
-    lives apart from the public bundle trust-wise — callers ship the
-    bundle, not this directory.
+    calls) and bulk-appends the batch. The store lives apart from the
+    public bundle trust-wise — callers ship the bundle, not this
+    directory.
     """
     store_dir = Path(directory) / KEYSTORE_DIR
     if (store_dir / HEADER_FILE).exists():

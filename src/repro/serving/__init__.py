@@ -22,7 +22,7 @@ Layering (thin adapter over a use-case core):
   revoked or rotated device answers ``403`` — never a crash, never a
   stale-key inference.
 * :mod:`repro.serving.batcher` — the micro-batching queue: concurrent
-  requests inside a small time/size window coalesce into one
+  requests that arrive in the same event-loop turn coalesce into one
   ``encode_batch_packed`` / packed-predict call, so service throughput
   rides the batch kernels instead of the per-sample path. Results are
   bit-identical to per-request execution (test-pinned).

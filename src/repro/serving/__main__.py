@@ -210,12 +210,6 @@ def main(argv: list[str] | None = None) -> int:
         "--max-batch", type=int, default=64, help="micro-batch row cap"
     )
     parser.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="micro-batch window in milliseconds",
-    )
-    parser.add_argument(
         "--self-check",
         action="store_true",
         help="run the in-process smoke assertions and exit",
@@ -244,11 +238,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
             )
 
-    app = create_app(
-        registry,
-        max_batch=args.max_batch,
-        max_wait_s=args.max_wait_ms / 1000.0,
-    )
+    app = create_app(registry, max_batch=args.max_batch)
 
     from repro.serving.http import serve
 

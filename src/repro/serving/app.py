@@ -24,11 +24,7 @@ from repro.obs.metrics import MetricsRegistry, NullMetrics
 from repro.serving.asgi import App, JSONResponse, PlainTextResponse, Request
 from repro.serving.errors import ServingError
 from repro.serving.registry import ModelRegistry
-from repro.serving.service import (
-    DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_WAIT_S,
-    InferenceService,
-)
+from repro.serving.service import DEFAULT_MAX_BATCH, InferenceService
 
 
 def map_error(exc: Exception) -> JSONResponse:
@@ -55,7 +51,6 @@ def map_error(exc: Exception) -> JSONResponse:
 def create_app(
     registry: ModelRegistry,
     max_batch: int = DEFAULT_MAX_BATCH,
-    max_wait_s: float = DEFAULT_MAX_WAIT_S,
     instrument: bool = True,
 ) -> App:
     """Build the serving application over a populated registry.
@@ -71,9 +66,7 @@ def create_app(
     the serving bench uses it to measure instrumentation overhead.
     """
     metrics = MetricsRegistry() if instrument else NullMetrics()
-    service = InferenceService(
-        registry, max_batch=max_batch, max_wait_s=max_wait_s, metrics=metrics
-    )
+    service = InferenceService(registry, max_batch=max_batch, metrics=metrics)
     app = App(
         on_startup=service.startup,
         on_shutdown=service.shutdown,

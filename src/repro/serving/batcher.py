@@ -4,8 +4,8 @@ The per-sample encode path costs a full plan traversal per row; the
 batch kernels of PRs 1–2 amortize that across rows (~order of magnitude
 per-row at paper shapes). A served workload arrives as many small
 concurrent requests, so the service needs the translation layer this
-module provides: requests that land inside a small time/size window are
-stacked into one matrix, run through a single batch call
+module provides: requests that reach the batcher in the same event-loop
+turn are stacked into one matrix, run through a single batch call
 (``encode_batch_packed`` or the packed classifier predict), and the
 rows are scattered back to the awaiting requests.
 
@@ -17,8 +17,10 @@ its batch or what ran before it.
 
 Determinism contract: no request can hang once submitted.
 
-* A lone request flushes after ``max_wait_s`` via an event-loop timer —
-  no follow-up traffic is needed to push it out.
+* The first row into an empty window schedules a flush for the next
+  event-loop turn (``call_soon``), so rows submitted in the same turn
+  share one matrix and a lone request flushes on its own — no timer
+  and no follow-up traffic is needed to push it out.
 * A full window (``max_batch`` rows) flushes immediately.
 * :meth:`MicroBatcher.aclose` flushes whatever is pending *before*
   refusing new work, so shutdown mid-window resolves every waiter
@@ -58,7 +60,6 @@ class MicroBatcher:
         self,
         run_batch: Callable[[np.ndarray], Sequence],
         max_batch: int = 64,
-        max_wait_s: float = 0.002,
         name: str = "",
         on_flush: Callable[[int], None] | None = None,
     ) -> None:
@@ -66,20 +67,15 @@ class MicroBatcher:
             raise ConfigurationError(
                 f"max_batch must be >= 1, got {max_batch}"
             )
-        if max_wait_s < 0:
-            raise ConfigurationError(
-                f"max_wait_s must be >= 0, got {max_wait_s}"
-            )
         self._run_batch = run_batch
         self.max_batch = int(max_batch)
-        self.max_wait_s = float(max_wait_s)
         self.name = name
         #: Occupancy observer: called with the stacked row count once
         #: per flush (the service wires a histogram child's observe).
         self._on_flush = on_flush
         self._pending: list[tuple[np.ndarray, asyncio.Future]] = []
         self._pending_rows = 0
-        self._timer: asyncio.TimerHandle | None = None
+        self._scheduled: asyncio.Handle | None = None
         self._closed = False
 
     async def submit(self, rows: np.ndarray) -> Sequence:
@@ -99,19 +95,20 @@ class MicroBatcher:
         self._pending_rows += int(rows.shape[0])
         if self._pending_rows >= self.max_batch:
             self._flush()
-        elif self._timer is None:
-            self._timer = loop.call_later(self.max_wait_s, self._flush)
+        elif self._scheduled is None:
+            self._scheduled = loop.call_soon(self._flush)
         return await future
 
     def _flush(self) -> None:
         """Run everything pending as one batch call, scatter results.
 
-        Runs synchronously on the loop (timer callback, size trigger, or
-        shutdown), so no new submission can interleave mid-flush.
+        Runs synchronously on the loop (next-turn callback, size
+        trigger, or shutdown), so no new submission can interleave
+        mid-flush.
         """
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        if self._scheduled is not None:
+            self._scheduled.cancel()
+            self._scheduled = None
         if not self._pending:
             return
         window, self._pending = self._pending, []

@@ -36,10 +36,10 @@ from repro.serving.schemas import (
     parse_samples,
 )
 
-#: Default micro-batch window: wide enough to coalesce a concurrency-16
-#: burst, short enough to be invisible next to an encode call.
+#: Default micro-batch row cap. A window holds the rows that reach a
+#: batcher in one event-loop turn and flushes on the next turn, or at
+#: once when it fills; 64 rows covers a concurrency-16 burst.
 DEFAULT_MAX_BATCH = 64
-DEFAULT_MAX_WAIT_S = 0.002
 
 #: Metric label for requests naming a tenant that does not exist.
 #: Attacker-supplied URL segments must not mint label values, or the
@@ -56,7 +56,6 @@ class _TenantLane:
         self,
         tenant: Tenant,
         max_batch: int,
-        max_wait_s: float,
         occupancy: Histogram | None = None,
     ) -> None:
         def _observer(op: str) -> Callable[[int], None] | None:
@@ -67,14 +66,12 @@ class _TenantLane:
         self.encode = MicroBatcher(
             tenant.encoder.encode_batch_packed,
             max_batch=max_batch,
-            max_wait_s=max_wait_s,
             name=f"{tenant.name}/encode",
             on_flush=_observer("encode"),
         )
         self.classify = MicroBatcher(
             tenant.classifier.predict,
             max_batch=max_batch,
-            max_wait_s=max_wait_s,
             name=f"{tenant.name}/classify",
             on_flush=_observer("classify"),
         )
@@ -87,13 +84,11 @@ class InferenceService:
         self,
         registry: ModelRegistry,
         max_batch: int = DEFAULT_MAX_BATCH,
-        max_wait_s: float = DEFAULT_MAX_WAIT_S,
         metrics: Any = None,
         spans: SpanRecorder | None = None,
     ) -> None:
         self.registry = registry
         self.max_batch = int(max_batch)
-        self.max_wait_s = float(max_wait_s)
         self._lanes: dict[str, _TenantLane] = {}
         #: MetricsRegistry or NullMetrics — same surface either way, so
         #: the request path ticks instruments unconditionally.
@@ -143,7 +138,12 @@ class InferenceService:
         self._m_tenants.set(len(self.registry))
 
     async def shutdown(self) -> None:
-        """Deterministically drain: flush every lane's in-flight window."""
+        """Deterministically drain every lane.
+
+        Rows submitted in the current loop turn are still waiting for
+        their next-turn flush; each batcher's ``aclose`` runs them at
+        once, so no waiter is stranded.
+        """
         for lane in self._lanes.values():
             await lane.encode.aclose()
             await lane.classify.aclose()
@@ -154,9 +154,7 @@ class InferenceService:
             occupancy = (
                 self._m_occupancy if self.metrics.enabled else None
             )
-            lane = _TenantLane(
-                tenant, self.max_batch, self.max_wait_s, occupancy
-            )
+            lane = _TenantLane(tenant, self.max_batch, occupancy)
             if self.metrics.enabled:
                 # Kernel-level counters (rows per path, scratch reuse)
                 # ride the same registry, labelled by tenant.

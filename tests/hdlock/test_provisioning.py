@@ -11,7 +11,6 @@ from repro.hdlock import provisioning
 from repro.hdlock.keygen import generate_keys
 from repro.hdlock.lock import create_locked_encoder
 from repro.hdlock.provisioning import (
-    KEY_FILE,
     KEYSTORE_DIR,
     MANIFEST_FILE,
     POOL_FILE,
@@ -23,11 +22,9 @@ from repro.hdlock.provisioning import (
     restore_device_encoder,
     restore_encoder,
     save_fleet_keys,
-    save_key,
     save_public_bundle,
 )
 from repro.hv.packing import PACKED_WORD_DTYPE, packed_word_width
-from repro.memory.key import LockKey
 
 N, M, D = 16, 5, 512
 
@@ -47,11 +44,6 @@ class TestSaveLoadRoundtrip:
         )
         assert loaded_manifest == manifest
 
-    def test_key_roundtrip(self, system, tmp_path):
-        path = save_key(tmp_path, system.key)
-        assert path.name == KEY_FILE
-        assert LockKey.from_json(path.read_text()) == system.key
-
     def test_restore_encoder_is_equivalent(self, system, tmp_path):
         # D = 100 leaves 28 pad bits in each row's last word.
         odd = create_locked_encoder(N, M, 100, layers=2, rng=0)
@@ -68,7 +60,7 @@ class TestSaveLoadRoundtrip:
         """The public bundle must never contain key material."""
         save_public_bundle(tmp_path, system.encoder)
         names = {p.name for p in tmp_path.iterdir()}
-        assert KEY_FILE not in names
+        assert names == {POOL_FILE, VALUES_FILE, MANIFEST_FILE}
 
     def test_bundle_is_bit_packed(self, system, tmp_path):
         save_public_bundle(tmp_path, system.encoder)
@@ -118,20 +110,6 @@ class TestIntegrity:
         payload = json.loads((tmp_path / MANIFEST_FILE).read_text())
         assert payload["dim"] == D
         assert payload["pool_size"] == N
-
-
-class TestKeyFilePermissions:
-    def test_saved_key_is_owner_only(self, system, tmp_path):
-        path = save_key(tmp_path, system.key)
-        assert path.stat().st_mode & 0o777 == 0o600
-
-    def test_resave_repins_permissions(self, system, tmp_path):
-        """A pre-existing world-readable key file must be re-pinned:
-        os.open's mode argument only applies to newly created files."""
-        path = save_key(tmp_path, system.key)
-        path.chmod(0o644)
-        save_key(tmp_path, system.key)
-        assert path.stat().st_mode & 0o777 == 0o600
 
 
 class TestErrorContract:

@@ -27,7 +27,8 @@ SUBPACKAGES = (
 )
 
 #: Deleted public names: the n-gram encoder, the one-implementer encoder
-#: base, and helpers that no experiment, tenant or example called.
+#: base, helpers that no experiment, tenant or example called, and the
+#: single-key file writer whose file nothing read.
 REMOVED_NAMES = frozenset(
     {
         "Encoder",
@@ -43,6 +44,7 @@ REMOVED_NAMES = frozenset(
         "relative_inference_time",
         "attack_query_stream",
         "load_key",
+        "save_key",
         "dequantize",
         "level_bounds",
         "as_bipolar",
@@ -61,6 +63,12 @@ REMOVED_MODULES = (
     "repro.encoding.ngram",
     "repro.data.splits",
     "repro.model.metrics",
+)
+
+#: Deleted module-level names, including ones no ``__all__`` listed.
+REMOVED_ATTRIBUTES = (
+    ("repro.hdlock.provisioning", "save_key"),
+    ("repro.hdlock.provisioning", "KEY_FILE"),
 )
 
 
@@ -103,6 +111,10 @@ class TestTopLevelExports:
     def test_removed_module_is_gone(self, module):
         with pytest.raises(ImportError):
             importlib.import_module(module)
+
+    @pytest.mark.parametrize("module, name", REMOVED_ATTRIBUTES)
+    def test_removed_attribute_is_gone(self, module, name):
+        assert not hasattr(importlib.import_module(module), name)
 
     def test_errors_inherit_base(self):
         from repro import errors

@@ -13,7 +13,7 @@ from repro.serving.testclient import TestClient
 
 @pytest.fixture
 def client(registry):
-    with TestClient(create_app(registry, max_wait_s=0.001)) as c:
+    with TestClient(create_app(registry)) as c:
         yield c
 
 
@@ -107,12 +107,10 @@ class TestServiceParity:
     def test_batched_app_equals_unbatched_app(self, tenant_dir, tiny_dataset):
         rows = tiny_dataset.test_x[:8]
 
-        def drive(max_batch: int, max_wait_s: float):
+        def drive(max_batch: int):
             registry = ModelRegistry()
             registry.add(load_tenant(tenant_dir))
-            app = create_app(
-                registry, max_batch=max_batch, max_wait_s=max_wait_s
-            )
+            app = create_app(registry, max_batch=max_batch)
             encoded: list[str] = []
             labels: list[int] = []
             with TestClient(app) as client:
@@ -130,9 +128,9 @@ class TestServiceParity:
             return encoded, labels
 
         # max_batch=1 → every request is its own kernel call (the
-        # per-request path); the batched app uses the default window.
-        batched = drive(max_batch=64, max_wait_s=0.001)
-        unbatched = drive(max_batch=1, max_wait_s=0.0)
+        # per-request path); the batched app uses the default cap.
+        batched = drive(max_batch=64)
+        unbatched = drive(max_batch=1)
         assert batched == unbatched
 
     def test_encode_is_pure_across_traffic_and_replicas(
@@ -151,7 +149,7 @@ class TestServiceParity:
             registry = ModelRegistry()
             registry.add(load_tenant(provisioned.directory))
             answers = []
-            with TestClient(create_app(registry, max_wait_s=0.001)) as client:
+            with TestClient(create_app(registry)) as client:
                 for turn in turns:
                     if turn == "traffic":
                         client.post("/v1/alpha/encode", json={"samples": traffic})
@@ -209,7 +207,7 @@ class TestErrorPaths:
 
     def test_revoked_key_403(self, registry):
         tenant = registry.get("alpha")
-        with TestClient(create_app(registry, max_wait_s=0.001)) as client:
+        with TestClient(create_app(registry)) as client:
             tenant.store.revoke(tenant.device_id)
             response = client.post(
                 "/v1/alpha/classify", json={"sample": [1] * 40}
@@ -225,7 +223,7 @@ class TestErrorPaths:
 
     def test_rotated_key_403_with_generation_info(self, registry):
         tenant = registry.get("alpha")
-        with TestClient(create_app(registry, max_wait_s=0.001)) as client:
+        with TestClient(create_app(registry)) as client:
             tenant.store.rotate(tenant.device_id, rng=5)
             response = client.post(
                 "/v1/alpha/encode", json={"sample": [1] * 40}

@@ -4,9 +4,9 @@ The headline pins:
 
 * batched execution is **bit-identical** to per-request execution in
   arrival order (the acceptance criterion of the serving PR);
-* no submitted request can hang — lone requests flush on the timer,
-  shutdown flushes the in-flight window (regression test for the
-  mid-window hang).
+* no submitted request can hang — a lone request flushes on the next
+  event-loop turn, shutdown flushes the in-flight window (regression
+  test for the mid-window hang).
 """
 
 from __future__ import annotations
@@ -41,11 +41,10 @@ class RecordingRunner:
 
 class TestCoalescing:
     def test_concurrent_submits_share_one_batch(self):
+        """Submits that start in one loop turn share one matrix."""
         runner = RecordingRunner()
         flushes: list[int] = []
-        batcher = MicroBatcher(
-            runner, max_batch=64, max_wait_s=0.01, on_flush=flushes.append
-        )
+        batcher = MicroBatcher(runner, max_batch=64, on_flush=flushes.append)
 
         async def scenario():
             rows = [np.array([[i]]) for i in range(10)]
@@ -61,25 +60,28 @@ class TestCoalescing:
         assert flushes == [10]
 
     def test_full_window_flushes_without_timer(self):
+        """The row that fills the window runs the batch inside submit."""
         runner = RecordingRunner()
-        # A timer that would never fire inside the test: the only way
-        # these requests resolve is the size trigger.
-        batcher = MicroBatcher(runner, max_batch=4, max_wait_s=60.0)
+        batcher = MicroBatcher(runner, max_batch=4)
 
         async def scenario():
-            rows = [np.array([[i]]) for i in range(4)]
-            return await asyncio.wait_for(
-                asyncio.gather(*(batcher.submit(row) for row in rows)),
-                timeout=5.0,
-            )
+            tasks = [
+                asyncio.ensure_future(batcher.submit(np.array([[i]])))
+                for i in range(5)
+            ]
+            # One turn runs all five submits in order; no scheduled
+            # flush has run yet, so only the size trigger can have fired.
+            await asyncio.sleep(0)
+            assert [call.shape for call in runner.calls] == [(4, 1)]
+            return await asyncio.gather(*tasks)
 
         results = run(scenario())
-        assert len(results) == 4
-        assert len(runner.calls) == 1
+        assert len(results) == 5
+        assert [call.shape for call in runner.calls] == [(4, 1), (1, 1)]
 
     def test_chunked_submission_keeps_request_rows_together(self):
         runner = RecordingRunner()
-        batcher = MicroBatcher(runner, max_batch=64, max_wait_s=0.01)
+        batcher = MicroBatcher(runner, max_batch=64)
 
         async def scenario():
             chunk_a = np.array([[1], [2], [3]])
@@ -96,39 +98,47 @@ class TestCoalescing:
 
 
 class TestDeterministicFlush:
-    def test_lone_request_resolves_on_timer(self):
-        """A single request with no follow-up traffic must not hang."""
+    def test_lone_request_resolves_within_three_turns(self):
+        """A single request with no follow-up traffic flushes on the
+        next loop turn: submit, flush, and waking the waiter take one
+        turn each, with no timer to wait out."""
         runner = RecordingRunner()
-        batcher = MicroBatcher(runner, max_batch=64, max_wait_s=0.005)
+        batcher = MicroBatcher(runner, max_batch=64)
 
         async def scenario():
-            return await asyncio.wait_for(
-                batcher.submit(np.array([[7]])), timeout=5.0
-            )
+            task = asyncio.ensure_future(batcher.submit(np.array([[7]])))
+            for _ in range(3):
+                await asyncio.sleep(0)
+            assert task.done(), "lone request still waiting after 3 turns"
+            return task.result()
 
         np.testing.assert_array_equal(run(scenario()), [[70]])
+        assert len(runner.calls) == 1
 
     def test_shutdown_flushes_pending_window(self):
         """Regression: traffic stopping mid-window must not strand waiters.
 
-        The window is far from full and the timer is effectively
-        infinite — only the shutdown flush can resolve the request.
+        ``aclose`` runs in the same turn as the submit, while its
+        next-turn flush is still pending and the window far from full,
+        so only the shutdown flush can have run the batch.
         """
         runner = RecordingRunner()
-        batcher = MicroBatcher(runner, max_batch=64, max_wait_s=60.0)
+        batcher = MicroBatcher(runner, max_batch=64)
 
         async def scenario():
             task = asyncio.ensure_future(batcher.submit(np.array([[3]])))
             await asyncio.sleep(0)  # let the submit enqueue
             assert not task.done()
+            assert runner.calls == []  # the batch is still pending
             await batcher.aclose()
+            assert len(runner.calls) == 1  # the close ran the batch
             return await asyncio.wait_for(task, timeout=1.0)
 
         np.testing.assert_array_equal(run(scenario()), [[30]])
-        assert runner.calls  # the close actually ran the batch
+        assert len(runner.calls) == 1  # the cancelled flush stayed idle
 
     def test_submit_after_close_is_refused(self):
-        batcher = MicroBatcher(RecordingRunner(), max_wait_s=0.001)
+        batcher = MicroBatcher(RecordingRunner())
 
         async def scenario():
             await batcher.aclose()
@@ -138,7 +148,7 @@ class TestDeterministicFlush:
         run(scenario())
 
     def test_close_is_idempotent(self):
-        batcher = MicroBatcher(RecordingRunner(), max_wait_s=0.001)
+        batcher = MicroBatcher(RecordingRunner())
 
         async def scenario():
             await batcher.aclose()
@@ -150,7 +160,7 @@ class TestDeterministicFlush:
 class TestFailurePropagation:
     def test_batch_failure_rejects_all_waiters_then_recovers(self):
         runner = RecordingRunner(fail=True)
-        batcher = MicroBatcher(runner, max_batch=64, max_wait_s=0.005)
+        batcher = MicroBatcher(runner, max_batch=64)
 
         async def scenario():
             results = await asyncio.gather(
@@ -159,6 +169,7 @@ class TestFailurePropagation:
                 return_exceptions=True,
             )
             assert all(isinstance(r, RuntimeError) for r in results)
+            assert len(runner.calls) == 1  # both waiters shared the batch
             # The batcher survives a failing batch: later traffic works.
             runner.fail = False
             ok = await asyncio.wait_for(
@@ -181,7 +192,6 @@ class TestBitParity:
         batcher = MicroBatcher(
             batched_encoder.encode_batch_packed,
             max_batch=8,
-            max_wait_s=0.05,
             on_flush=flushes.append,
         )
 
@@ -205,9 +215,7 @@ class TestBitParity:
         rows = tiny_dataset.test_x[:10]
 
         batched_model = load_tenant(tenant_dir).classifier
-        batcher = MicroBatcher(
-            batched_model.predict, max_batch=16, max_wait_s=0.05
-        )
+        batcher = MicroBatcher(batched_model.predict, max_batch=16)
 
         async def scenario():
             return await asyncio.gather(
@@ -230,5 +238,3 @@ class TestConfig:
         # status mapping covers construction errors too (RL004).
         with pytest.raises(ConfigurationError):
             MicroBatcher(RecordingRunner(), max_batch=0)
-        with pytest.raises(ConfigurationError):
-            MicroBatcher(RecordingRunner(), max_wait_s=-1.0)

@@ -16,7 +16,7 @@ from repro.serving.http import serve
 @pytest.fixture
 def server(registry):
     """Run the bridge on an ephemeral port; yields (host, port)."""
-    app = create_app(registry, max_wait_s=0.001)
+    app = create_app(registry)
     bound: dict = {}
     ready = threading.Event()
     control: dict = {}

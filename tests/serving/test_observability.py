@@ -29,7 +29,7 @@ def _sample(metrics: dict, family: str, **labels: str) -> dict:
 
 @pytest.fixture
 def client(registry):
-    with TestClient(create_app(registry, max_wait_s=0.001)) as client:
+    with TestClient(create_app(registry)) as client:
         yield client
 
 
@@ -130,7 +130,7 @@ class TestMetricsEndpoint:
         assert 'scope="alpha"' in body
 
     def test_uninstrumented_app_serves_empty_metrics(self, registry):
-        app = create_app(registry, max_wait_s=0.001, instrument=False)
+        app = create_app(registry, instrument=False)
         with TestClient(app) as client:
             client.post("/v1/alpha/classify", json={"sample": PROBE})
             response = client.get("/metrics")

@@ -4,7 +4,7 @@ Drives ``CONCURRENCY`` asyncio client tasks against the in-process ASGI
 app, so every request takes the full adapter path (routing, JSON parse,
 validation, key gate, batcher, hex response) with no socket or
 cross-thread noise. Per-request serving is the same app with
-``max_batch=1``; the only variable is the batcher window.
+``max_batch=1``; the only variable is the batcher's row cap.
 
 The tenant shape is encode-overhead-bound: 64 levels make the
 level-difference accumulate run 63 small BLAS steps per call, exactly
@@ -34,8 +34,8 @@ pytestmark = pytest.mark.slow
 DIM, N_FEATURES, LEVELS, LAYERS = 4096, 64, 64, 4
 
 #: ``max_batch == CONCURRENCY`` lets the size trigger close every
-#: steady-state window at once; the wait only bounds stragglers.
-MAX_BATCH, MAX_WAIT_S, CONCURRENCY = 32, 0.002, 32
+#: steady-state window at once; the next-turn flush takes stragglers.
+MAX_BATCH, CONCURRENCY = 32, 32
 
 REQUESTS_PER_CLIENT = 100
 
@@ -100,15 +100,11 @@ async def _call(app, body: bytes) -> int:
     return status
 
 
-def drive(
-    tenant_dir, bodies, max_batch: int, max_wait_s: float, instrument=True
-) -> tuple[float, float]:
+def drive(tenant_dir, bodies, max_batch: int, instrument=True) -> tuple[float, float]:
     """One load run; returns (requests/s, mean rows per server batch)."""
     registry = ModelRegistry()
     registry.add(load_tenant(tenant_dir))
-    app = create_app(
-        registry, max_batch=max_batch, max_wait_s=max_wait_s, instrument=instrument
-    )
+    app = create_app(registry, max_batch=max_batch, instrument=instrument)
 
     # Per-request latencies are recorded though not gated, so the
     # client does the same work whichever gate reads the run.
@@ -151,8 +147,8 @@ def drive(
 
 
 def test_micro_batching_at_least_4x_per_request(tenant_dir, bodies):
-    batched, rows_per_batch = drive(tenant_dir, bodies, MAX_BATCH, MAX_WAIT_S)
-    single, _ = drive(tenant_dir, bodies, max_batch=1, max_wait_s=0.0)
+    batched, rows_per_batch = drive(tenant_dir, bodies, MAX_BATCH)
+    single, _ = drive(tenant_dir, bodies, max_batch=1)
     assert rows_per_batch > 2.0, "micro-batching never coalesced"
     assert batched / single >= 4.0, (
         f"micro-batched {batched:,.0f} req/s vs per-request "
@@ -169,7 +165,7 @@ def test_instrumentation_costs_at_most_5_percent(tenant_dir, bodies):
     """
 
     def rps(instrument: bool) -> float:
-        return drive(tenant_dir, bodies, MAX_BATCH, MAX_WAIT_S, instrument)[0]
+        return drive(tenant_dir, bodies, MAX_BATCH, instrument)[0]
 
     overheads = []
     for index in range(OVERHEAD_PAIRS):
